@@ -1,6 +1,6 @@
 //! Perf-regression comparison over `BENCH_engine.json` files.
 //!
-//! The enginebench schema (`gpm-enginebench-v2`) writes one bench object
+//! The enginebench schema (`gpm-enginebench-v4`) writes one bench object
 //! per line, so this module gets away with a line-oriented scanner instead
 //! of a JSON parser — keeping the gate dependency-free. A bench line looks
 //! like:
@@ -273,9 +273,7 @@ mod tests {
     use super::*;
 
     fn doc(benches: &[(&str, f64)]) -> String {
-        let mut out = String::from(
-            "{\n  \"schema\": \"gpm-enginebench-v2\",\n  \"engine_threads\": 4,\n  \"benches\": [\n",
-        );
+        let mut out = String::from("{\n  \"schema\": \"gpm-enginebench-v4\",\n  \"benches\": [\n");
         for (i, (name, ops)) in benches.iter().enumerate() {
             let _ = writeln!(
                 out,

@@ -32,6 +32,7 @@
 //! - `--trace PATH`        write a Chrome trace-event JSON (schema
 //!   `gpm-trace-v1`) of the traced runs: in repro mode the single case,
 //!   otherwise each workload's schedule-recording run
+//! - `--help`              print the usage and exit
 //!
 //! The campaign always runs under strict persistency (it pins the process
 //! default, so `GPM_PERSISTENCY=epoch` is ignored with a note): the oracles
@@ -41,6 +42,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use gpm_bench::cli::Usage;
 use gpm_sim::{
     chrome_trace_json, enumerate_cases, run_campaign, CampaignConfig, CampaignStats, CrashPolicy,
     CrashSchedule, Machine, RingSink, TraceData,
@@ -60,6 +62,13 @@ struct Opts {
     trace: Option<String>,
 }
 
+const USAGE: Usage = Usage {
+    bin: "campaign",
+    text: "usage: campaign [--quick] [--workload NAME] [--list-workloads] \
+           [--fuel N --policy all|none|gray:K|random:S] [--max-points N] [--double-recovery] \
+           [--inject-bug] [--out PATH] [--trace PATH]",
+};
+
 fn parse_args() -> Opts {
     let mut opts = Opts {
         quick: false,
@@ -75,6 +84,7 @@ fn parse_args() -> Opts {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
+            "--help" => USAGE.help(),
             "--quick" => opts.quick = true,
             "--list-workloads" => {
                 for name in oracle_names() {
@@ -84,35 +94,22 @@ fn parse_args() -> Opts {
             }
             "--inject-bug" => opts.inject_bug = true,
             "--double-recovery" => opts.double_recovery = true,
-            "--workload" => opts.workload = Some(args.next().expect("--workload needs a name")),
-            "--fuel" => {
-                opts.fuel = Some(
-                    args.next()
-                        .expect("--fuel needs a count")
-                        .parse()
-                        .expect("--fuel needs an op count"),
-                );
-            }
+            "--workload" => opts.workload = Some(USAGE.value(&mut args, "--workload")),
+            "--fuel" => opts.fuel = Some(USAGE.parse(&mut args, "--fuel", "an op count")),
             "--policy" => {
-                opts.policy = Some(
-                    args.next()
-                        .expect("--policy needs a value")
-                        .parse()
-                        .expect("--policy needs all | none | gray:K | random:S"),
-                );
+                opts.policy =
+                    Some(USAGE.parse(&mut args, "--policy", "all | none | gray:K | random:S"));
             }
             "--max-points" => {
-                opts.max_points = Some(
-                    args.next()
-                        .expect("--max-points needs a count")
-                        .parse()
-                        .expect("--max-points needs an integer"),
-                );
+                opts.max_points = Some(USAGE.parse(&mut args, "--max-points", "an integer"));
             }
-            "--out" => opts.out = args.next().expect("--out needs a path"),
-            "--trace" => opts.trace = Some(args.next().expect("--trace needs a path")),
-            other => panic!("unknown flag {other:?}"),
+            "--out" => opts.out = USAGE.value(&mut args, "--out"),
+            "--trace" => opts.trace = Some(USAGE.value(&mut args, "--trace")),
+            other => USAGE.fail(format!("unknown flag {other:?}")),
         }
+    }
+    if opts.fuel.is_some() && (opts.policy.is_none() || opts.workload.is_none()) {
+        USAGE.fail("--fuel needs --policy and --workload");
     }
     opts
 }
@@ -307,8 +304,9 @@ fn main() {
 
     // Single-case repro mode.
     if let Some(fuel) = opts.fuel {
-        let policy = opts.policy.expect("--fuel needs --policy");
-        assert!(opts.workload.is_some(), "--fuel needs --workload");
+        let policy = opts
+            .policy
+            .expect("parse_args requires --policy with --fuel");
         let mut failed = false;
         let mut traced: Vec<(String, TraceData)> = Vec::new();
         let mut trace_bytes = 0u64;

@@ -6,12 +6,8 @@
 //! `make bench-json`). It drives the engine's stress shapes — a 1M-thread
 //! coalesced-store kernel, a scattered-store kernel that defeats
 //! coalescing, fence-per-store and fence-storm kernels (in strict and
-//! epoch persistency variants), and a block-parallel group that runs the
-//! same grid at 1/2/4 host threads — plus one full GPMbench workload, the
-//! production workload fleet pinned to one engine thread, and the
-//! detectable-op scaling groups (`parallel_kvs_*` / `parallel_db_*`) that
-//! run the block-parallel gpKVS batch and gpDB update kernels at 1/2/4
-//! engine threads, and
+//! epoch persistency variants), and a grid of 64 independent blocks — plus
+//! one full GPMbench workload and the production workload fleet, and
 //! reports *wall-clock* throughput in simulated thread operations per
 //! second. The hot kernels implement [`gpm_gpu::Kernel::run_warp`], so this
 //! harness exercises the vectorized lockstep path the production layers
@@ -26,15 +22,16 @@
 //! benchdiff-gated benches never drop below best-of-3, so a single noisy
 //! scheduler tick cannot fail the ±20% perf gate); `--trace <path>`
 //! additionally runs one small untimed kernel with a trace sink installed
-//! and writes a Chrome trace-event JSON (schema `gpm-trace-v1`) there.
+//! and writes a Chrome trace-event JSON (schema `gpm-trace-v1`) there;
+//! `--help` prints the usage.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use gpm_bench::cli::Usage;
 use gpm_core::{gpmcp_checkpoint, gpmcp_create, gpmcp_register};
 use gpm_gpu::{
-    launch, resolved_engine_threads, FnKernel, Kernel, LaunchConfig, PersistencyModel, ThreadCtx,
-    WarpCtx, WARP_SIZE,
+    launch, FnKernel, Kernel, LaunchConfig, PersistencyModel, ThreadCtx, WarpCtx, WARP_SIZE,
 };
 use gpm_sim::{chrome_trace_json, Addr, Machine, Ns, RingSink, SimResult};
 use gpm_workloads::{
@@ -419,23 +416,17 @@ fn fence_storm(reps: usize, model: PersistencyModel) -> BenchResult {
     })
 }
 
-/// The block-parallel stress shape: 64 independent blocks, each thread
-/// storing and re-loading eight disjoint PM lines. The engine-thread
-/// scaling group runs the same grid pinned to 1 (`parallel_blocks_seq`), 2
-/// (`parallel_blocks_t2`), and 4 (`parallel_blocks_t4`) host threads, plus
-/// the host's resolved count (`parallel_blocks`); simulated output is
-/// bit-identical at every setting, so the group measures the staged-commit
-/// engine's wall-clock scaling and nothing else.
-fn parallel_blocks(reps: usize, name: &'static str, engine_threads: u32) -> BenchResult {
+/// 64 independent blocks, each thread storing and re-loading eight
+/// disjoint PM lines.
+fn parallel_blocks(reps: usize) -> BenchResult {
     const GRID: u32 = 64;
     const BLOCK: u32 = 256;
     let threads = GRID as u64 * BLOCK as u64;
-    bench(name, threads, reps, move || {
+    bench("parallel_blocks", threads, reps, move || {
         let mut m = Machine::default();
         let pm = m.alloc_pm(threads * PB_ROUNDS * 128).unwrap();
         let k = ParallelBlocks { pm };
-        let cfg = LaunchConfig::new(GRID, BLOCK).with_engine_threads(engine_threads);
-        let r = launch(&mut m, cfg, &k).unwrap();
+        let r = launch(&mut m, LaunchConfig::new(GRID, BLOCK), &k).unwrap();
         (threads * PB_ROUNDS * 2, r.elapsed)
     })
 }
@@ -455,26 +446,8 @@ fn suite_workload(reps: usize) -> BenchResult {
 // ---- workload fleet (the production Figure-3/9 kernels) ---------------------
 //
 // These lines measure the *production* workload kernels end to end —
-// allocator, logging, verification and all — pinned to one engine thread,
-// which is exactly where the vectorized `run_warp` path pays (block-parallel
-// wall-clock scaling is the `parallel_kvs`/`parallel_db` group's job). The
-// workloads build their own `LaunchConfig`s internally, so the pin rides the
-// documented `GPM_ENGINE_THREADS` override, restored after each call.
-
-fn pinned_engine_threads<T>(threads: u32, f: impl FnOnce() -> T) -> T {
-    let prev = std::env::var("GPM_ENGINE_THREADS").ok();
-    std::env::set_var("GPM_ENGINE_THREADS", threads.to_string());
-    let out = f();
-    match prev {
-        Some(v) => std::env::set_var("GPM_ENGINE_THREADS", v),
-        None => std::env::remove_var("GPM_ENGINE_THREADS"),
-    }
-    out
-}
-
-fn pinned_single_thread<T>(f: impl FnOnce() -> T) -> T {
-    pinned_engine_threads(1, f)
-}
+// allocator, logging, verification and all — which is where the vectorized
+// `run_warp` path pays.
 
 /// The gpmcp persist phase alone: one 32 MiB HBM array streamed into the PM
 /// working buffer and published (the checkpoint-class memcpy kernel; one
@@ -483,14 +456,12 @@ fn workload_checkpoint(reps: usize) -> BenchResult {
     const BYTES: u64 = 32 << 20;
     let threads = BYTES / 512;
     bench("workload_checkpoint_32m", threads, reps, move || {
-        pinned_single_thread(|| {
-            let mut m = Machine::default();
-            let hbm = m.alloc_hbm(BYTES).unwrap();
-            let mut cp = gpmcp_create(&mut m, "/pm/bench/cp", BYTES, 1, 1).unwrap();
-            gpmcp_register(&mut cp, Addr::hbm(hbm), BYTES, 0).unwrap();
-            let ns = gpmcp_checkpoint(&mut m, &cp, 0).unwrap();
-            (threads, ns)
-        })
+        let mut m = Machine::default();
+        let hbm = m.alloc_hbm(BYTES).unwrap();
+        let mut cp = gpmcp_create(&mut m, "/pm/bench/cp", BYTES, 1, 1).unwrap();
+        gpmcp_register(&mut cp, Addr::hbm(hbm), BYTES, 0).unwrap();
+        let ns = gpmcp_checkpoint(&mut m, &cp, 0).unwrap();
+        (threads, ns)
     })
 }
 
@@ -500,19 +471,17 @@ fn workload_checkpoint(reps: usize) -> BenchResult {
 /// host-side gradient math (which no engine change can speed up).
 fn workload_dnn(reps: usize) -> BenchResult {
     bench("workload_dnn", 0, reps, move || {
-        pinned_single_thread(|| {
-            let mut app = DnnWorkload::new(DnnParams {
-                samples: 8,
-                batch: 4,
-                iterations: 6,
-                checkpoint_every: 2,
-                ..DnnParams::default()
-            });
-            let mut m = Machine::default();
-            let metrics = run_iterative(&mut m, &mut app, Mode::Gpm, 32).unwrap();
-            assert!(metrics.verified, "DNN verification failed");
-            (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
-        })
+        let mut app = DnnWorkload::new(DnnParams {
+            samples: 8,
+            batch: 4,
+            iterations: 6,
+            checkpoint_every: 2,
+            ..DnnParams::default()
+        });
+        let mut m = Machine::default();
+        let metrics = run_iterative(&mut m, &mut app, Mode::Gpm, 32).unwrap();
+        assert!(metrics.verified, "DNN verification failed");
+        (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
     })
 }
 
@@ -521,16 +490,14 @@ fn workload_dnn(reps: usize) -> BenchResult {
 /// deterministic engine output, so the line doubles as a counter check.
 fn fig9_workload(name: &'static str, fig9_name: &'static str, reps: usize) -> BenchResult {
     bench(name, 0, reps, move || {
-        pinned_single_thread(|| {
-            let mut w = suite(Scale::Full)
-                .into_iter()
-                .find(|w| w.name() == fig9_name)
-                .expect("fig9 workload label");
-            let mut m = Machine::default();
-            let metrics = w.run(&mut m, Mode::Gpm).unwrap();
-            assert!(metrics.verified, "{fig9_name} verification failed");
-            (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
-        })
+        let mut w = suite(Scale::Full)
+            .into_iter()
+            .find(|w| w.name() == fig9_name)
+            .expect("fig9 workload label");
+        let mut m = Machine::default();
+        let metrics = w.run(&mut m, Mode::Gpm).unwrap();
+        assert!(metrics.verified, "{fig9_name} verification failed");
+        (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
     })
 }
 
@@ -538,28 +505,24 @@ fn fig9_workload(name: &'static str, fig9_name: &'static str, reps: usize) -> Be
 /// (the Epoch-vs-Strict comparison where HCL commit fences dominate).
 fn workload_kvs(name: &'static str, model: PersistencyModel, reps: usize) -> BenchResult {
     bench(name, 0, reps, move || {
-        pinned_single_thread(|| {
-            let w = KvsWorkload::new(KvsParams::default().with_persistency(model));
-            let mut m = Machine::default();
-            let metrics = w.run(&mut m, Mode::Gpm).unwrap();
-            assert!(metrics.verified, "gpKVS verification failed");
-            (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
-        })
+        let w = KvsWorkload::new(KvsParams::default().with_persistency(model));
+        let mut m = Machine::default();
+        let metrics = w.run(&mut m, Mode::Gpm).unwrap();
+        assert!(metrics.verified, "gpKVS verification failed");
+        (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
     })
 }
 
 /// gpDB at evaluation scale under an explicitly pinned persistency model.
 fn workload_db(name: &'static str, op: DbOp, model: PersistencyModel, reps: usize) -> BenchResult {
     bench(name, 0, reps, move || {
-        pinned_single_thread(|| {
-            let mut params = DbParams::default().with_persistency(model);
-            params.op = op;
-            let w = DbWorkload::new(params);
-            let mut m = Machine::default();
-            let metrics = w.run(&mut m, Mode::Gpm).unwrap();
-            assert!(metrics.verified, "gpDB verification failed");
-            (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
-        })
+        let mut params = DbParams::default().with_persistency(model);
+        params.op = op;
+        let w = DbWorkload::new(params);
+        let mut m = Machine::default();
+        let metrics = w.run(&mut m, Mode::Gpm).unwrap();
+        assert!(metrics.verified, "gpDB verification failed");
+        (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
     })
 }
 
@@ -569,54 +532,11 @@ fn workload_db(name: &'static str, op: DbOp, model: PersistencyModel, reps: usiz
 /// leg's time is per-slot HCL commit fences on the session store.
 fn workload_analytics(name: &'static str, model: PersistencyModel, reps: usize) -> BenchResult {
     bench(name, 0, reps, move || {
-        pinned_single_thread(|| {
-            let w = AnalyticsWorkload::new(AnalyticsParams::default().with_persistency(model));
-            let mut m = Machine::default();
-            let metrics = w.run(&mut m, Mode::Gpm).unwrap();
-            assert!(metrics.verified, "gpAnalytics verification failed");
-            (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
-        })
-    })
-}
-
-// ---- detectable-op engine-thread scaling ------------------------------------
-//
-// The gpKVS batch and gpDB update kernels ride the detectable-op layer and
-// run block-parallel (no `Communicating` sequential pin), so their wall
-// clock now responds to `GPM_ENGINE_THREADS`. These groups run the same
-// evaluation-scale workload pinned to 1/2/4 engine threads; every simulated
-// counter (`ops`, `sim_elapsed_ns`) is bit-identical across the three
-// settings, so any divergence inside a group is an engine-determinism bug
-// and the only measured variable is host-side scaling.
-
-/// gpKVS (detectable SET batches) at evaluation scale, pinned to
-/// `engine_threads` host threads.
-fn parallel_kvs(name: &'static str, engine_threads: u32, reps: usize) -> BenchResult {
-    bench(name, 0, reps, move || {
-        pinned_engine_threads(engine_threads, || {
-            let w = KvsWorkload::new(KvsParams::default());
-            let mut m = Machine::default();
-            let metrics = w.run(&mut m, Mode::Gpm).unwrap();
-            assert!(metrics.verified, "gpKVS verification failed");
-            (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
-        })
-    })
-}
-
-/// gpDB UPDATE (detectable redo records) at evaluation scale, pinned to
-/// `engine_threads` host threads.
-fn parallel_db(name: &'static str, engine_threads: u32, reps: usize) -> BenchResult {
-    bench(name, 0, reps, move || {
-        pinned_engine_threads(engine_threads, || {
-            let w = DbWorkload::new(DbParams {
-                op: DbOp::Update,
-                ..DbParams::default()
-            });
-            let mut m = Machine::default();
-            let metrics = w.run(&mut m, Mode::Gpm).unwrap();
-            assert!(metrics.verified, "gpDB verification failed");
-            (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
-        })
+        let w = AnalyticsWorkload::new(AnalyticsParams::default().with_persistency(model));
+        let mut m = Machine::default();
+        let metrics = w.run(&mut m, Mode::Gpm).unwrap();
+        assert!(metrics.verified, "gpAnalytics verification failed");
+        (metrics.pm_write_bytes_total() / 8, metrics.elapsed)
     })
 }
 
@@ -678,10 +598,8 @@ fn fence_sensitivity() -> Vec<SensPoint> {
     out
 }
 
-fn to_json(results: &[BenchResult], sens: &[SensPoint], engine_threads: u32) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": \"gpm-enginebench-v3\",\n  \"engine_threads\": {engine_threads},\n  \"benches\": [\n"
-    );
+fn to_json(results: &[BenchResult], sens: &[SensPoint]) -> String {
+    let mut out = String::from("{\n  \"schema\": \"gpm-enginebench-v4\",\n  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
             out,
@@ -714,6 +632,11 @@ struct Opts {
     trace: Option<String>,
 }
 
+const USAGE: Usage = Usage {
+    bin: "enginebench",
+    text: "usage: enginebench [--filter SUBSTR] [--reps N] [--trace PATH]",
+};
+
 fn parse_args() -> Opts {
     let mut opts = Opts {
         filter: None,
@@ -723,19 +646,16 @@ fn parse_args() -> Opts {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--filter" => {
-                opts.filter = Some(args.next().expect("--filter needs a substring"));
-            }
+            "--help" => USAGE.help(),
+            "--filter" => opts.filter = Some(USAGE.value(&mut args, "--filter")),
             "--reps" => {
-                opts.reps = args
-                    .next()
-                    .expect("--reps needs a count")
-                    .parse()
-                    .expect("--reps needs a positive integer");
-                assert!(opts.reps > 0, "--reps needs a positive integer");
+                opts.reps = USAGE.parse(&mut args, "--reps", "a positive integer");
+                if opts.reps == 0 {
+                    USAGE.fail("--reps needs a positive integer, got \"0\"");
+                }
             }
-            "--trace" => opts.trace = Some(args.next().expect("--trace needs a path")),
-            other => panic!("unknown flag {other:?} (expected --filter, --reps or --trace)"),
+            "--trace" => opts.trace = Some(USAGE.value(&mut args, "--trace")),
+            other => USAGE.fail(format!("unknown flag {other:?}")),
         }
     }
     opts
@@ -771,67 +691,49 @@ fn traced_smoke(path: &str) {
 
 fn main() {
     let opts = parse_args();
-    // The count an unpinned launch would resolve to (env override included):
-    // recorded in the JSON so runs on different hosts can be compared.
-    let engine_threads = resolved_engine_threads(&LaunchConfig::new(1, 32));
     // Every bench below is benchdiff-gated, so all of them get the floor.
     let reps = opts.reps.max(GATED_MIN_REPS);
-    println!(
-        "enginebench: wall-clock engine throughput ({reps} reps, best-of, {engine_threads} engine threads)"
-    );
-    type BenchFn = fn(usize, u32) -> BenchResult;
+    println!("enginebench: wall-clock engine throughput ({reps} reps, best-of)");
+    type BenchFn = fn(usize) -> BenchResult;
     let table: &[(&str, BenchFn)] = &[
-        ("coalesced_store_1m", |r, _| coalesced_store(r)),
-        ("scattered_store_256k", |r, _| scattered_store(r)),
-        ("fence_heavy_64k", |r, _| {
+        ("coalesced_store_1m", |r| coalesced_store(r)),
+        ("scattered_store_256k", |r| scattered_store(r)),
+        ("fence_heavy_64k", |r| {
             fence_heavy(r, PersistencyModel::Strict)
         }),
-        ("epoch_fence_heavy_64k", |r, _| {
+        ("epoch_fence_heavy_64k", |r| {
             fence_heavy(r, PersistencyModel::Epoch)
         }),
-        ("fence_storm_64k", |r, _| {
+        ("fence_storm_64k", |r| {
             fence_storm(r, PersistencyModel::Strict)
         }),
-        ("epoch_fence_storm_64k", |r, _| {
+        ("epoch_fence_storm_64k", |r| {
             fence_storm(r, PersistencyModel::Epoch)
         }),
-        ("parallel_blocks_seq", |r, _| {
-            parallel_blocks(r, "parallel_blocks_seq", 1)
-        }),
-        ("parallel_blocks_t2", |r, _| {
-            parallel_blocks(r, "parallel_blocks_t2", 2)
-        }),
-        ("parallel_blocks_t4", |r, _| {
-            parallel_blocks(r, "parallel_blocks_t4", 4)
-        }),
-        ("parallel_blocks", |r, t| {
-            parallel_blocks(r, "parallel_blocks", t)
-        }),
-        ("suite_gpkvs_quick", |r, _| suite_workload(r)),
-        ("workload_checkpoint_32m", |r, _| workload_checkpoint(r)),
-        ("workload_dnn", |r, _| workload_dnn(r)),
-        ("workload_cfd", |r, _| {
-            fig9_workload("workload_cfd", "CFD", r)
-        }),
-        ("workload_blackscholes", |r, _| {
+        ("parallel_blocks", parallel_blocks),
+        ("suite_gpkvs_quick", |r| suite_workload(r)),
+        ("workload_checkpoint_32m", |r| workload_checkpoint(r)),
+        ("workload_dnn", |r| workload_dnn(r)),
+        ("workload_cfd", |r| fig9_workload("workload_cfd", "CFD", r)),
+        ("workload_blackscholes", |r| {
             fig9_workload("workload_blackscholes", "BLK", r)
         }),
-        ("workload_hotspot", |r, _| {
+        ("workload_hotspot", |r| {
             fig9_workload("workload_hotspot", "HS", r)
         }),
-        ("workload_srad", |r, _| {
+        ("workload_srad", |r| {
             fig9_workload("workload_srad", "SRAD", r)
         }),
-        ("workload_prefix_sum", |r, _| {
+        ("workload_prefix_sum", |r| {
             fig9_workload("workload_prefix_sum", "PS", r)
         }),
-        ("workload_gpkvs", |r, _| {
+        ("workload_gpkvs", |r| {
             workload_kvs("workload_gpkvs", PersistencyModel::Strict, r)
         }),
-        ("workload_gpkvs_epoch", |r, _| {
+        ("workload_gpkvs_epoch", |r| {
             workload_kvs("workload_gpkvs_epoch", PersistencyModel::Epoch, r)
         }),
-        ("workload_gpdb_insert", |r, _| {
+        ("workload_gpdb_insert", |r| {
             workload_db(
                 "workload_gpdb_insert",
                 DbOp::Insert,
@@ -839,7 +741,7 @@ fn main() {
                 r,
             )
         }),
-        ("workload_gpdb_insert_epoch", |r, _| {
+        ("workload_gpdb_insert_epoch", |r| {
             workload_db(
                 "workload_gpdb_insert_epoch",
                 DbOp::Insert,
@@ -847,7 +749,7 @@ fn main() {
                 r,
             )
         }),
-        ("workload_gpdb_update", |r, _| {
+        ("workload_gpdb_update", |r| {
             workload_db(
                 "workload_gpdb_update",
                 DbOp::Update,
@@ -855,7 +757,7 @@ fn main() {
                 r,
             )
         }),
-        ("workload_gpdb_update_epoch", |r, _| {
+        ("workload_gpdb_update_epoch", |r| {
             workload_db(
                 "workload_gpdb_update_epoch",
                 DbOp::Update,
@@ -863,26 +765,12 @@ fn main() {
                 r,
             )
         }),
-        ("analytics_strict", |r, _| {
+        ("analytics_strict", |r| {
             workload_analytics("analytics_strict", PersistencyModel::Strict, r)
         }),
-        ("analytics_epoch", |r, _| {
+        ("analytics_epoch", |r| {
             workload_analytics("analytics_epoch", PersistencyModel::Epoch, r)
         }),
-        ("parallel_kvs_seq", |r, _| {
-            parallel_kvs("parallel_kvs_seq", 1, r)
-        }),
-        ("parallel_kvs_t2", |r, _| {
-            parallel_kvs("parallel_kvs_t2", 2, r)
-        }),
-        ("parallel_kvs_t4", |r, _| {
-            parallel_kvs("parallel_kvs_t4", 4, r)
-        }),
-        ("parallel_db_seq", |r, _| {
-            parallel_db("parallel_db_seq", 1, r)
-        }),
-        ("parallel_db_t2", |r, _| parallel_db("parallel_db_t2", 2, r)),
-        ("parallel_db_t4", |r, _| parallel_db("parallel_db_t4", 4, r)),
     ];
     let results: Vec<BenchResult> = table
         .iter()
@@ -891,7 +779,7 @@ fn main() {
                 .as_deref()
                 .is_none_or(|needle| name.contains(needle))
         })
-        .map(|(_, f)| f(reps, engine_threads))
+        .map(|(_, f)| f(reps))
         .collect();
     let sens = if opts
         .filter
@@ -906,7 +794,7 @@ fn main() {
         eprintln!("no bench matches the filter; nothing written");
         return;
     }
-    let json = to_json(&results, &sens, engine_threads);
+    let json = to_json(&results, &sens);
     let path = "BENCH_engine.json";
     std::fs::write(path, &json).expect("write BENCH_engine.json");
     println!("wrote {path}");

@@ -4,8 +4,7 @@
 //!
 //! Everything is simulated time and seed-deterministic: the same seed and
 //! flags produce a byte-identical `BENCH_serve.json` (schema
-//! `gpm-serve-v2`), run to run and across `GPM_ENGINE_THREADS` settings —
-//! no wall-clock field enters the JSON.
+//! `gpm-serve-v2`), run to run — no wall-clock field enters the JSON.
 //!
 //! Flags:
 //! - `--quick`       small sweep (completes in seconds; CI smoke)
@@ -22,9 +21,11 @@
 //! - `--inject-bug`      with `--scenario replication|resharding`: inject
 //!   the fabric corruption and exit 0 iff the consistency oracle caught
 //!   it (campaign-style self-test semantics)
+//! - `--help`            print the usage and exit
 
 use std::fmt::Write as _;
 
+use gpm_bench::cli::Usage;
 use gpm_gpu::PersistencyModel;
 use gpm_serve::{
     run_cluster, run_scenario, scenario_names, ArrivalShape, BackendKind, BatchPolicy,
@@ -45,6 +46,12 @@ struct Opts {
     inject_bug: bool,
 }
 
+const USAGE: Usage = Usage {
+    bin: "serve",
+    text: "usage: serve [--quick] [--seed N] [--slo-us F] [--out PATH] [--trace PATH] \
+           [--persistency strict|epoch] [--list-scenarios] [--scenario NAME [--inject-bug]]",
+};
+
 fn parse_args() -> Opts {
     let mut opts = Opts {
         quick: false,
@@ -60,36 +67,29 @@ fn parse_args() -> Opts {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
+            "--help" => USAGE.help(),
             "--quick" => opts.quick = true,
-            "--seed" => {
-                opts.seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed needs an integer");
-            }
-            "--slo-us" => {
-                opts.slo_us = args
-                    .next()
-                    .expect("--slo-us needs a value")
-                    .parse()
-                    .expect("--slo-us needs a number");
-            }
-            "--out" => opts.out = args.next().expect("--out needs a path"),
-            "--trace" => opts.trace = Some(args.next().expect("--trace needs a path")),
+            "--seed" => opts.seed = USAGE.parse(&mut args, "--seed", "an integer"),
+            "--slo-us" => opts.slo_us = USAGE.parse(&mut args, "--slo-us", "a number"),
+            "--out" => opts.out = USAGE.value(&mut args, "--out"),
+            "--trace" => opts.trace = Some(USAGE.value(&mut args, "--trace")),
             "--persistency" => {
-                let v = args.next().expect("--persistency needs strict|epoch");
-                opts.persistency = Some(match v.as_str() {
+                opts.persistency = Some(match USAGE.value(&mut args, "--persistency").as_str() {
                     "strict" => PersistencyModel::Strict,
                     "epoch" => PersistencyModel::Epoch,
-                    other => panic!("--persistency must be strict or epoch, got {other:?}"),
+                    other => USAGE.fail(format!(
+                        "--persistency must be strict or epoch, got {other:?}"
+                    )),
                 });
             }
-            "--scenario" => opts.scenario = Some(args.next().expect("--scenario needs a name")),
+            "--scenario" => opts.scenario = Some(USAGE.value(&mut args, "--scenario")),
             "--list-scenarios" => opts.list_scenarios = true,
             "--inject-bug" => opts.inject_bug = true,
-            other => panic!("unknown flag {other:?}"),
+            other => USAGE.fail(format!("unknown flag {other:?}")),
         }
+    }
+    if opts.inject_bug && opts.scenario.is_none() {
+        USAGE.fail("--inject-bug requires --scenario replication|resharding");
     }
     opts
 }
@@ -245,10 +245,6 @@ fn main() {
     }
     if opts.scenario.is_some() {
         run_one_scenario(&opts);
-    }
-    if opts.inject_bug {
-        eprintln!("serve: --inject-bug requires --scenario replication|resharding");
-        std::process::exit(2);
     }
     let slo = Ns(opts.slo_us * 1_000.0);
     // Every cluster in the sweep inherits the pinned persistency model (if

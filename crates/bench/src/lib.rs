@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod benchdiff;
+pub mod cli;
 pub mod figures;
 pub mod microbench;
 pub mod report;

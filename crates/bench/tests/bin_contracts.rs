@@ -274,7 +274,7 @@ fn serve_inject_bug_exit_semantics() {
 fn benchdiff_fails_on_two_x_slowdown_and_passes_identical() {
     let doc = |ops: f64| {
         format!(
-            "{{\n  \"schema\": \"gpm-enginebench-v2\",\n  \"engine_threads\": 4,\n  \"benches\": [\n    \
+            "{{\n  \"schema\": \"gpm-enginebench-v4\",\n  \"benches\": [\n    \
              {{\"name\": \"coalesced_store_1m\", \"threads\": 1048576, \"ops\": 1048576, \"reps\": 3, \
              \"best_wall_s\": 0.1, \"ops_per_sec\": {ops:.1}, \"sim_elapsed_ns\": 5.0}}\n  ]\n}}\n"
         )
@@ -305,4 +305,36 @@ fn benchdiff_fails_on_two_x_slowdown_and_passes_identical() {
         stdout.contains("\"ops_per_sec\": 500000.0"),
         "offending line must be printed: {stdout}"
     );
+}
+
+/// `--help` prints the usage to stdout and exits 0; an unknown flag, a
+/// missing value or a malformed value prints a one-line reason plus the
+/// usage to stderr and exits 2 — never a panic.
+#[test]
+fn help_exits_zero_and_bad_input_exits_two() {
+    let bins: [(&str, &str, &str); 3] = [
+        ("serve", env!("CARGO_BIN_EXE_serve"), "--seed"),
+        ("campaign", env!("CARGO_BIN_EXE_campaign"), "--fuel"),
+        ("enginebench", env!("CARGO_BIN_EXE_enginebench"), "--reps"),
+    ];
+    for (name, exe, numeric_flag) in bins {
+        let help = Command::new(exe).arg("--help").output().expect("run bin");
+        assert_eq!(help.status.code(), Some(0), "{name} --help");
+        let stdout = String::from_utf8(help.stdout).unwrap();
+        assert!(stdout.starts_with(&format!("usage: {name}")), "{stdout}");
+
+        let bad: [&[&str]; 3] = [&["--bogus"], &[numeric_flag], &[numeric_flag, "x"]];
+        for args in bad {
+            let out = Command::new(exe).args(args).output().expect("run bin");
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            let mut lines = stderr.lines();
+            let reason = lines.next().unwrap_or_default();
+            assert!(reason.starts_with(&format!("{name}: ")), "{stderr}");
+            assert!(
+                lines.next().unwrap_or_default().starts_with("usage: "),
+                "{stderr}"
+            );
+        }
+    }
 }

@@ -25,19 +25,12 @@ pub struct LaunchConfig {
     pub grid: u32,
     /// Threads per threadblock.
     pub block: u32,
-    /// Host worker threads for block-parallel execution. `None` defers to
-    /// the `GPM_ENGINE_THREADS` environment variable, then to the host's
-    /// available parallelism; `Some(1)` forces the sequential engine. Purely
-    /// a host-side scheduling knob: simulated results and timing are
-    /// identical at every setting.
-    pub engine_threads: Option<u32>,
     /// GPU persistency model for this launch (see
     /// [`PersistencyModel`]). `None` defers to the `GPM_PERSISTENCY`
     /// environment variable (`strict` / `epoch`), then to
-    /// [`PersistencyModel::Strict`]. Unlike `engine_threads` this is a
-    /// *simulated-semantics* knob: epoch launches defer fence drains to the
-    /// kernel boundary, changing both timing and crash vulnerability
-    /// windows.
+    /// [`PersistencyModel::Strict`]. A *simulated-semantics* knob: epoch
+    /// launches defer fence drains to the kernel boundary, changing both
+    /// timing and crash vulnerability windows.
     pub persistency: Option<PersistencyModel>,
 }
 
@@ -55,19 +48,8 @@ impl LaunchConfig {
         LaunchConfig {
             grid,
             block,
-            engine_threads: None,
             persistency: None,
         }
-    }
-
-    /// Pins the host worker-thread count for this launch (overriding the
-    /// `GPM_ENGINE_THREADS` environment variable). `1` forces the sequential
-    /// engine.
-    #[must_use]
-    pub fn with_engine_threads(mut self, threads: u32) -> LaunchConfig {
-        assert!(threads > 0, "engine thread count must be non-zero");
-        self.engine_threads = Some(threads);
-        self
     }
 
     /// Pins the persistency model for this launch (overriding the

@@ -7,26 +7,10 @@
 //! simultaneous fences form one fence event. Phase boundaries implement
 //! `__syncthreads()`.
 //!
-//! ## Block-parallel execution
-//!
-//! CUDA threadblocks are independent between launch boundaries unless a
-//! kernel deliberately communicates across blocks, so the engine can run
-//! blocks on a pool of host threads without changing any observable result.
-//! Each worker executes its blocks against a [`BlockStage`] — a copy-on-
-//! write overlay over the frozen machine plus an ordered effect log — and
-//! the main thread *commits the stages serially in block-id order*, calling
-//! the very same machine operations sequential execution would, in the same
-//! order. Counters, pending-line state, the pattern tracker, and simulated
-//! time are therefore bit-identical in both modes (the golden-counter gate
-//! runs in both). Divergence is impossible rather than unlikely: the only
-//! thing a stage cannot reproduce is a *read* of a lower-numbered block's
-//! same-launch write, and every base read is checked against earlier blocks'
-//! write sets at commit — any hit abandons the stages (machine untouched)
-//! and reruns the launch sequentially. Kernels annotated
-//! [`KernelCapability::Communicating`], single-block grids, and crash-fuel
-//! launches skip the parallel path up front; thread count comes from
-//! [`LaunchConfig::engine_threads`], then `GPM_ENGINE_THREADS`, then the
-//! host's available parallelism (`1` forces the sequential engine).
+//! Blocks run one after another, in block-id order, on the calling thread
+//! against the live [`Machine`]. The GPU's parallelism lives in simulated
+//! time — [`KernelCosts`] turns a launch's resources into elapsed time with
+//! the overlap model of §3.2 — not in host threads.
 //!
 //! ## Hot-path design
 //!
@@ -56,7 +40,7 @@
 //! `Ok(false)`, falling back to 32 [`Kernel::run`] calls. Vector operations
 //! account every counter exactly as the lockstep per-lane walk would (shared
 //! operation sequence number, identical extent merging, identical drain), so
-//! golden counters, simulated time, and normalized traces are unchanged; the
+//! golden counters, simulated time, and traces are unchanged; the
 //! one documented exception is [`gpm_sim::Stats::bytes_persisted`]: the
 //! per-lane walk runs lanes to completion one after another (lane-major), so
 //! one lane's fence can drain a CPU line a later lane re-dirties and
@@ -65,19 +49,17 @@
 //! once. Timing never consumes `bytes_persisted`, so simulated time is
 //! unaffected.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::OnceLock;
 
 use gpm_sim::pattern::PatternTracker;
-use gpm_sim::staged::{BlockStage, LineKey};
 use gpm_sim::{
     Addr, CrashPolicy, CrashReport, CrashSchedule, EventKind, Machine, MemSpace, Ns,
     PersistencyModel, SimError, SimResult, WriterId, GPU_LINE,
 };
 
 use crate::dim::{LaunchConfig, ThreadId, WARP_SIZE};
-use crate::kernel::{Kernel, KernelCapability};
+use crate::kernel::Kernel;
 use crate::timing::KernelCosts;
 
 /// Result of a completed kernel launch.
@@ -88,11 +70,6 @@ pub struct KernelReport {
     pub elapsed: Ns,
     /// Resource usage that produced `elapsed`.
     pub costs: KernelCosts,
-    /// Host worker threads the engine actually used: the resolved thread
-    /// count when the block-parallel path committed, `1` when the
-    /// sequential path ran (including conflict / capability fallbacks).
-    /// Purely diagnostic — simulated results never depend on it.
-    pub threads_used: u32,
 }
 
 /// Why a launch did not complete.
@@ -130,9 +107,7 @@ impl From<SimError> for LaunchError {
 /// one budget). Every context operation (load, store, atomic, fence) burns
 /// one unit; the gauge decides what that means:
 ///
-/// * [`FuelGauge::Unlimited`] — no counting, no crash. The only mode
-///   eligible for the block-parallel path (fuel draws from the global
-///   operation order that only sequential execution defines).
+/// * [`FuelGauge::Unlimited`] — no counting, no crash.
 /// * [`FuelGauge::Crash`] — after `remaining` ops the machine crashes;
 ///   `policy` picks the pending-line subset ([`Machine::crash_with_policy`])
 ///   or falls back to the machine RNG ([`Machine::crash`]).
@@ -179,12 +154,6 @@ impl FuelGauge {
     /// A recording gauge with an empty schedule.
     pub fn record() -> FuelGauge {
         FuelGauge::Record(CrashSchedule::new())
-    }
-
-    /// Whether the gauge neither counts nor crashes (the parallel path's
-    /// eligibility requirement).
-    pub fn is_inert(&self) -> bool {
-        matches!(self, FuelGauge::Unlimited)
     }
 
     /// The crash policy carried by a `Crash` gauge, if any.
@@ -381,26 +350,26 @@ impl WarpScratch {
     /// Emits the warp's coalesced transactions and fence events, then resets
     /// for the next warp. Groups are visited in program order and lines in
     /// ascending order, mirroring the former sorted-map drain exactly. A
-    /// warp that staged nothing (all lanes idle or pure compute) returns
-    /// without touching the group table.
-    fn drain(&mut self, mem: &mut EngineMem<'_>, costs: &mut KernelCosts) {
+    /// warp that issued no memory operation (all lanes idle or pure compute)
+    /// returns without touching the group table.
+    fn drain(&mut self, machine: &mut Machine, costs: &mut KernelCosts) {
         if self.used == 0 {
             return;
         }
         for g in &mut self.groups[..self.used] {
             for e in &g.write_lines {
                 costs.pcie_write_txns += 1;
-                mem.pm_txn(e.start, e.end - e.start);
+                machine.gpu_pm_txn(e.start, e.end - e.start);
             }
             costs.pcie_read_txns += g.read_lines.len() as u64;
             if g.sys_fence {
                 costs.system_fence_events += 1;
-                mem.pattern_barrier();
+                machine.gpu_pm_pattern.barrier();
             }
             if g.dev_fence {
                 costs.device_fence_events += 1;
-                if mem.trace_enabled() {
-                    mem.trace(EventKind::DeviceFence);
+                if machine.trace_enabled() {
+                    machine.trace(EventKind::DeviceFence);
                 }
             }
             g.clear();
@@ -413,157 +382,10 @@ impl WarpScratch {
     }
 }
 
-/// The memory the engine runs a block against: the live machine (sequential
-/// path) or a frozen base plus a block-local stage (parallel path). Each
-/// operation's staged branch buffers exactly what its live branch applies,
-/// so replaying a stage's effect log in block order reproduces the live
-/// sequence bit for bit.
-enum EngineMem<'a> {
-    /// Mutate the machine directly.
-    Live(&'a mut Machine),
-    /// Buffer effects in a block-local stage against the frozen `base`.
-    Staged {
-        base: &'a Machine,
-        stage: &'a mut BlockStage,
-    },
-}
-
-impl EngineMem<'_> {
-    /// The machine for read-only queries (config, persist mode).
-    fn machine(&self) -> &Machine {
-        match self {
-            EngineMem::Live(m) => m,
-            EngineMem::Staged { base, .. } => base,
-        }
-    }
-
-    /// A GPU store to PM (`Machine::gpu_store_pm`).
-    fn store_pm(&mut self, writer: WriterId, offset: u64, bytes: &[u8]) -> SimResult<()> {
-        match self {
-            EngineMem::Live(m) => m.gpu_store_pm(writer, offset, bytes),
-            EngineMem::Staged { base, stage } => stage.store_pm(base, writer, offset, bytes),
-        }
-    }
-
-    /// A store to a volatile space (`Machine::host_write`).
-    fn store_vol(&mut self, addr: Addr, bytes: &[u8]) -> SimResult<()> {
-        match self {
-            EngineMem::Live(m) => m.host_write(addr, bytes),
-            EngineMem::Staged { base, stage } => stage.store_vol(base, addr, bytes),
-        }
-    }
-
-    /// A GPU load from PM (`Machine::gpu_load_pm`, which also counts the
-    /// bytes read).
-    fn load_pm(&mut self, offset: u64, buf: &mut [u8]) -> SimResult<()> {
-        match self {
-            EngineMem::Live(m) => m.gpu_load_pm(offset, buf),
-            EngineMem::Staged { base, stage } => {
-                stage.read(base, Addr::pm(offset), buf)?;
-                stage.note_pm_read(buf.len() as u64);
-                Ok(())
-            }
-        }
-    }
-
-    /// An uncounted coherent read (`Machine::read` — volatile loads and the
-    /// read half of fused atomics).
-    fn read(&mut self, addr: Addr, buf: &mut [u8]) -> SimResult<()> {
-        match self {
-            EngineMem::Live(m) => m.read(addr, buf),
-            EngineMem::Staged { base, stage } => stage.read(base, addr, buf),
-        }
-    }
-
-    /// A system-scope fence (`Machine::gpu_system_fence`).
-    fn fence_system(&mut self, writer: WriterId) {
-        match self {
-            EngineMem::Live(m) => {
-                m.gpu_system_fence(writer);
-            }
-            EngineMem::Staged { stage, .. } => stage.fence_persist(writer),
-        }
-    }
-
-    /// A synchronous drain fence (`Machine::gpu_sync_fence`): drains the
-    /// writer's pending lines into media even under epoch persistency.
-    fn fence_sync(&mut self, writer: WriterId) {
-        match self {
-            EngineMem::Live(m) => {
-                m.gpu_sync_fence(writer);
-            }
-            EngineMem::Staged { stage, .. } => stage.fence_sync(writer),
-        }
-    }
-
-    /// A warp's contiguous lockstep store, one batched machine call
-    /// (`Machine::gpu_store_pm_lanes`): byte `j` belongs to writer
-    /// `writer0 + j / lane_bytes`.
-    fn store_pm_lanes(
-        &mut self,
-        writer0: WriterId,
-        lane_bytes: u32,
-        offset: u64,
-        bytes: &[u8],
-    ) -> SimResult<()> {
-        match self {
-            EngineMem::Live(m) => m.gpu_store_pm_lanes(writer0, lane_bytes, offset, bytes),
-            EngineMem::Staged { base, stage } => {
-                stage.store_pm_lanes(base, writer0, lane_bytes, offset, bytes)
-            }
-        }
-    }
-
-    /// A warp's lockstep system fences, one batched machine call
-    /// (`Machine::gpu_system_fence_lanes`) for writers
-    /// `writer0..writer0 + lanes`.
-    fn fence_system_lanes(&mut self, writer0: WriterId, lanes: u32) {
-        match self {
-            EngineMem::Live(m) => {
-                m.gpu_system_fence_lanes(writer0, lanes);
-            }
-            EngineMem::Staged { stage, .. } => stage.fence_persist_lanes(writer0, lanes),
-        }
-    }
-
-    /// One coalesced PCIe write transaction's machine-side accounting
-    /// (issued by the warp drain).
-    fn pm_txn(&mut self, offset: u64, len: u64) {
-        match self {
-            EngineMem::Live(m) => m.gpu_pm_txn(offset, len),
-            EngineMem::Staged { stage, .. } => stage.pm_txn(offset, len),
-        }
-    }
-
-    /// Whether a trace sink is installed on the underlying machine.
-    fn trace_enabled(&self) -> bool {
-        self.machine().trace_enabled()
-    }
-
-    /// Emits (live) or stages (parallel) one trace event. Callers gate on
-    /// [`EngineMem::trace_enabled`], which keeps both engines' staged state
-    /// identical when tracing is off.
-    fn trace(&mut self, kind: EventKind) {
-        match self {
-            EngineMem::Live(m) => m.trace(kind),
-            EngineMem::Staged { stage, .. } => stage.trace(kind),
-        }
-    }
-
-    /// A pattern-tracker barrier (issued by the warp drain for coalesced
-    /// system fences).
-    fn pattern_barrier(&mut self) {
-        match self {
-            EngineMem::Live(m) => m.gpu_pm_pattern.barrier(),
-            EngineMem::Staged { stage, .. } => stage.pattern_barrier(),
-        }
-    }
-}
-
 /// Execution context handed to each thread, wrapping the machine with the
 /// thread's identity and the warp's coalescing buffer.
 pub struct ThreadCtx<'a> {
-    mem: EngineMem<'a>,
+    machine: &'a mut Machine,
     costs: &'a mut KernelCosts,
     scratch: &'a mut WarpScratch,
     gauge: &'a mut FuelGauge,
@@ -640,18 +462,18 @@ impl ThreadCtx<'_> {
         self.burn()?;
         match addr.space {
             MemSpace::Pm => {
-                self.mem.store_pm(self.writer, addr.offset, bytes)?;
+                self.machine.gpu_store_pm(self.writer, addr.offset, bytes)?;
                 self.costs.pm_write_bytes += bytes.len() as u64;
                 self.scratch
                     .group(self.op_seq)
                     .record_write(addr.offset, bytes.len() as u64);
             }
             MemSpace::Hbm => {
-                self.mem.store_vol(addr, bytes)?;
+                self.machine.host_write(addr, bytes)?;
                 self.costs.hbm_bytes += bytes.len() as u64;
             }
             MemSpace::Dram => {
-                self.mem.store_vol(addr, bytes)?;
+                self.machine.host_write(addr, bytes)?;
                 self.costs.dram_bytes += bytes.len() as u64;
             }
         }
@@ -667,18 +489,18 @@ impl ThreadCtx<'_> {
         self.burn()?;
         match addr.space {
             MemSpace::Pm => {
-                self.mem.load_pm(addr.offset, buf)?;
+                self.machine.gpu_load_pm(addr.offset, buf)?;
                 self.costs.pm_read_bytes += buf.len() as u64;
                 self.scratch
                     .group(self.op_seq)
                     .record_read(addr.offset, buf.len() as u64);
             }
             MemSpace::Hbm => {
-                self.mem.read(addr, buf)?;
+                self.machine.read(addr, buf)?;
                 self.costs.hbm_bytes += buf.len() as u64;
             }
             MemSpace::Dram => {
-                self.mem.read(addr, buf)?;
+                self.machine.read(addr, buf)?;
                 self.costs.dram_bytes += buf.len() as u64;
             }
         }
@@ -779,21 +601,21 @@ impl ThreadCtx<'_> {
     pub fn atomic_add_u32(&mut self, addr: Addr, v: u32) -> SimResult<u32> {
         self.burn()?;
         let mut b = [0u8; 4];
-        self.mem.read(addr, &mut b)?;
+        self.machine.read(addr, &mut b)?;
         let old = u32::from_le_bytes(b);
         let new = old.wrapping_add(v).to_le_bytes();
         match addr.space {
             MemSpace::Pm => {
-                self.mem.store_pm(self.writer, addr.offset, &new)?;
+                self.machine.gpu_store_pm(self.writer, addr.offset, &new)?;
                 self.costs.pm_write_bytes += 4;
                 self.scratch.group(self.op_seq).record_write(addr.offset, 4);
             }
             MemSpace::Hbm => {
-                self.mem.store_vol(addr, &new)?;
+                self.machine.host_write(addr, &new)?;
                 self.costs.hbm_bytes += 8;
             }
             MemSpace::Dram => {
-                self.mem.store_vol(addr, &new)?;
+                self.machine.host_write(addr, &new)?;
                 self.costs.dram_bytes += 8;
             }
         }
@@ -811,7 +633,7 @@ impl ThreadCtx<'_> {
     /// Injected crashes surface as [`SimError::Crashed`].
     pub fn threadfence_system(&mut self) -> SimResult<()> {
         self.burn()?;
-        self.mem.fence_system(self.writer);
+        self.machine.gpu_system_fence(self.writer);
         self.scratch.group(self.op_seq).sys_fence = true;
         // A system fence is where durable state advances: the crash
         // campaign's discovery pass notes the fuel consumed so far as an
@@ -835,7 +657,7 @@ impl ThreadCtx<'_> {
     /// Injected crashes surface as [`SimError::Crashed`].
     pub fn threadfence_system_sync(&mut self) -> SimResult<()> {
         self.burn()?;
-        self.mem.fence_sync(self.writer);
+        self.machine.gpu_sync_fence(self.writer);
         self.scratch.group(self.op_seq).sys_fence = true;
         self.gauge.note_boundary();
         Ok(())
@@ -866,23 +688,20 @@ impl ThreadCtx<'_> {
     /// Whether a system fence currently guarantees durability (DDIO disabled
     /// or eADR) — what `gpm_persist` relies on.
     pub fn persist_guaranteed(&self) -> bool {
-        self.mem.machine().gpu_persist_guaranteed()
+        self.machine.gpu_persist_guaranteed()
     }
 
     /// Read-only access to platform configuration.
     pub fn config(&self) -> &gpm_sim::MachineConfig {
-        &self.mem.machine().cfg
+        &self.machine.cfg
     }
 
     /// Emits a structured trace event at the thread's current machine state
     /// (no-op unless a sink is installed). Library layers running inside a
-    /// kernel — log appends, checkpoint phases — mark themselves with this;
-    /// under the block-parallel engine the event is staged with the block's
-    /// other effects and replayed in block order, so traces stay identical
-    /// across engine configurations.
+    /// kernel — log appends, checkpoint phases — mark themselves with this.
     pub fn trace_marker(&mut self, kind: EventKind) {
-        if self.mem.trace_enabled() {
-            self.mem.trace(kind);
+        if self.machine.trace_enabled() {
+            self.machine.trace(kind);
         }
     }
 }
@@ -902,7 +721,7 @@ const WARP_BYTES: usize = (WARP_SIZE as usize) * 8;
 /// same program point would, and all cost, fuel-boundary, and
 /// pattern-tracker accounting is identical to the per-lane walk.
 pub struct WarpCtx<'a> {
-    mem: EngineMem<'a>,
+    machine: &'a mut Machine,
     costs: &'a mut KernelCosts,
     scratch: &'a mut WarpScratch,
     gauge: &'a mut FuelGauge,
@@ -968,12 +787,12 @@ impl WarpCtx<'_> {
     /// Whether a system fence currently guarantees durability (DDIO disabled
     /// or eADR) — what `gpm_persist` relies on.
     pub fn persist_guaranteed(&self) -> bool {
-        self.mem.machine().gpu_persist_guaranteed()
+        self.machine.gpu_persist_guaranteed()
     }
 
     /// Read-only access to platform configuration.
     pub fn config(&self) -> &gpm_sim::MachineConfig {
-        &self.mem.machine().cfg
+        &self.machine.cfg
     }
 
     // ---- vector memory operations -------------------------------------------
@@ -999,7 +818,7 @@ impl WarpCtx<'_> {
                     for i in 0..lanes {
                         buf[i * N..(i + 1) * N].copy_from_slice(&get(i));
                     }
-                    self.mem.store_pm_lanes(
+                    self.machine.gpu_store_pm_lanes(
                         self.writer0,
                         N as u32,
                         addr.offset,
@@ -1011,8 +830,8 @@ impl WarpCtx<'_> {
                 } else {
                     for i in 0..lanes {
                         let off = addr.offset + i as u64 * stride;
-                        self.mem
-                            .store_pm(self.writer0 + i as WriterId, off, &get(i))?;
+                        self.machine
+                            .gpu_store_pm(self.writer0 + i as WriterId, off, &get(i))?;
                         self.scratch.group(self.op_seq).record_write(off, N as u64);
                     }
                 }
@@ -1028,14 +847,14 @@ impl WarpCtx<'_> {
                     for i in 0..lanes {
                         buf[i * N..(i + 1) * N].copy_from_slice(&get(i));
                     }
-                    self.mem.store_vol(addr, &buf[..lanes * N])?;
+                    self.machine.host_write(addr, &buf[..lanes * N])?;
                 } else {
                     for i in 0..lanes {
                         let a = Addr {
                             space: addr.space,
                             offset: addr.offset + i as u64 * stride,
                         };
-                        self.mem.store_vol(a, &get(i))?;
+                        self.machine.host_write(a, &get(i))?;
                     }
                 }
                 match addr.space {
@@ -1064,7 +883,8 @@ impl WarpCtx<'_> {
             MemSpace::Pm => {
                 if stride == N as u64 {
                     let mut buf = [0u8; WARP_BYTES];
-                    self.mem.load_pm(addr.offset, &mut buf[..lanes * N])?;
+                    self.machine
+                        .gpu_load_pm(addr.offset, &mut buf[..lanes * N])?;
                     for i in 0..lanes {
                         put(i, buf[i * N..(i + 1) * N].try_into().unwrap());
                     }
@@ -1075,7 +895,7 @@ impl WarpCtx<'_> {
                     for i in 0..lanes {
                         let off = addr.offset + i as u64 * stride;
                         let mut b = [0u8; N];
-                        self.mem.load_pm(off, &mut b)?;
+                        self.machine.gpu_load_pm(off, &mut b)?;
                         put(i, b);
                         self.scratch.group(self.op_seq).record_read(off, N as u64);
                     }
@@ -1085,7 +905,7 @@ impl WarpCtx<'_> {
             MemSpace::Hbm | MemSpace::Dram => {
                 if stride == N as u64 {
                     let mut buf = [0u8; WARP_BYTES];
-                    self.mem.read(addr, &mut buf[..lanes * N])?;
+                    self.machine.read(addr, &mut buf[..lanes * N])?;
                     for i in 0..lanes {
                         put(i, buf[i * N..(i + 1) * N].try_into().unwrap());
                     }
@@ -1096,7 +916,7 @@ impl WarpCtx<'_> {
                             offset: addr.offset + i as u64 * stride,
                         };
                         let mut b = [0u8; N];
-                        self.mem.read(a, &mut b)?;
+                        self.machine.read(a, &mut b)?;
                         put(i, b);
                     }
                 }
@@ -1229,8 +1049,12 @@ impl WarpCtx<'_> {
         match addr.space {
             MemSpace::Pm => {
                 if stride == lane_bytes as u64 {
-                    self.mem
-                        .store_pm_lanes(self.writer0, lane_bytes as u32, addr.offset, data)?;
+                    self.machine.gpu_store_pm_lanes(
+                        self.writer0,
+                        lane_bytes as u32,
+                        addr.offset,
+                        data,
+                    )?;
                     self.scratch
                         .group(self.op_seq)
                         .record_write(addr.offset, total);
@@ -1238,8 +1062,8 @@ impl WarpCtx<'_> {
                     for i in 0..lanes {
                         let off = addr.offset + i as u64 * stride;
                         let chunk = &data[i * lane_bytes..(i + 1) * lane_bytes];
-                        self.mem
-                            .store_pm(self.writer0 + i as WriterId, off, chunk)?;
+                        self.machine
+                            .gpu_store_pm(self.writer0 + i as WriterId, off, chunk)?;
                         self.scratch
                             .group(self.op_seq)
                             .record_write(off, lane_bytes as u64);
@@ -1249,15 +1073,15 @@ impl WarpCtx<'_> {
             }
             MemSpace::Hbm | MemSpace::Dram => {
                 if stride == lane_bytes as u64 {
-                    self.mem.store_vol(addr, data)?;
+                    self.machine.host_write(addr, data)?;
                 } else {
                     for i in 0..lanes {
                         let a = Addr {
                             space: addr.space,
                             offset: addr.offset + i as u64 * stride,
                         };
-                        self.mem
-                            .store_vol(a, &data[i * lane_bytes..(i + 1) * lane_bytes])?;
+                        self.machine
+                            .host_write(a, &data[i * lane_bytes..(i + 1) * lane_bytes])?;
                     }
                 }
                 match addr.space {
@@ -1297,15 +1121,15 @@ impl WarpCtx<'_> {
         match addr.space {
             MemSpace::Pm => {
                 if stride == lane_bytes as u64 {
-                    self.mem.load_pm(addr.offset, out)?;
+                    self.machine.gpu_load_pm(addr.offset, out)?;
                     self.scratch
                         .group(self.op_seq)
                         .record_read(addr.offset, total);
                 } else {
                     for i in 0..lanes {
                         let off = addr.offset + i as u64 * stride;
-                        self.mem
-                            .load_pm(off, &mut out[i * lane_bytes..(i + 1) * lane_bytes])?;
+                        self.machine
+                            .gpu_load_pm(off, &mut out[i * lane_bytes..(i + 1) * lane_bytes])?;
                         self.scratch
                             .group(self.op_seq)
                             .record_read(off, lane_bytes as u64);
@@ -1315,14 +1139,14 @@ impl WarpCtx<'_> {
             }
             MemSpace::Hbm | MemSpace::Dram => {
                 if stride == lane_bytes as u64 {
-                    self.mem.read(addr, out)?;
+                    self.machine.read(addr, out)?;
                 } else {
                     for i in 0..lanes {
                         let a = Addr {
                             space: addr.space,
                             offset: addr.offset + i as u64 * stride,
                         };
-                        self.mem
+                        self.machine
                             .read(a, &mut out[i * lane_bytes..(i + 1) * lane_bytes])?;
                     }
                 }
@@ -1343,7 +1167,8 @@ impl WarpCtx<'_> {
     pub fn threadfence_system(&mut self) {
         self.op_seq += 1;
         self.gauge.burn_lanes(self.lanes);
-        self.mem.fence_system_lanes(self.writer0, self.lanes);
+        self.machine
+            .gpu_system_fence_lanes(self.writer0, self.lanes);
         self.scratch.group(self.op_seq).sys_fence = true;
     }
 
@@ -1379,7 +1204,7 @@ impl WarpCtx<'_> {
 /// # Errors
 ///
 /// Returns any functional error a thread hit (e.g. out-of-bounds).
-pub fn launch<K: Kernel + Sync>(
+pub fn launch<K: Kernel>(
     machine: &mut Machine,
     cfg: LaunchConfig,
     kernel: &K,
@@ -1399,7 +1224,7 @@ pub fn launch<K: Kernel + Sync>(
 ///
 /// [`LaunchError::Crashed`] on fuel exhaustion; [`LaunchError::Sim`] on
 /// functional errors.
-pub fn launch_with_fuel<K: Kernel + Sync>(
+pub fn launch_with_fuel<K: Kernel>(
     machine: &mut Machine,
     cfg: LaunchConfig,
     kernel: &K,
@@ -1415,7 +1240,7 @@ pub fn launch_with_fuel<K: Kernel + Sync>(
 /// # Errors
 ///
 /// Same as [`launch_with_fuel`].
-pub fn launch_with_gauge<K: Kernel + Sync>(
+pub fn launch_with_gauge<K: Kernel>(
     machine: &mut Machine,
     cfg: LaunchConfig,
     kernel: &K,
@@ -1424,34 +1249,11 @@ pub fn launch_with_gauge<K: Kernel + Sync>(
     launch_inner(machine, cfg, kernel, gauge)
 }
 
-/// Host worker threads for a launch: the `LaunchConfig` override, else the
-/// `GPM_ENGINE_THREADS` environment variable, else the host's available
-/// parallelism.
-fn resolve_engine_threads(cfg: &LaunchConfig) -> u32 {
-    if let Some(t) = cfg.engine_threads {
-        return t.max(1);
-    }
-    if let Some(t) = std::env::var("GPM_ENGINE_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u32>().ok())
-    {
-        if t >= 1 {
-            return t;
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u32)
-        .unwrap_or(1)
-}
-
-/// The host worker-thread count a launch with `cfg` would use, after
-/// applying the [`LaunchConfig::engine_threads`] override, the
-/// `GPM_ENGINE_THREADS` environment variable, and the host's available
-/// parallelism — what [`KernelReport::threads_used`] reports when the
-/// block-parallel path commits. Exposed for harnesses that record the
-/// engine configuration alongside results.
-pub fn resolved_engine_threads(cfg: &LaunchConfig) -> u32 {
-    resolve_engine_threads(cfg)
+/// Host threads a launch runs on: always `1`, since blocks run in order on
+/// the calling thread. Exposed for harnesses that print the engine
+/// configuration alongside results.
+pub fn resolved_engine_threads(_cfg: &LaunchConfig) -> u32 {
+    1
 }
 
 /// Process-wide default persistency model: `GPM_PERSISTENCY=epoch` (case-
@@ -1486,7 +1288,7 @@ pub fn resolved_persistency(cfg: &LaunchConfig) -> PersistencyModel {
     cfg.persistency.unwrap_or_else(env_persistency)
 }
 
-fn launch_inner<K: Kernel + Sync>(
+fn launch_inner<K: Kernel>(
     machine: &mut Machine,
     cfg: LaunchConfig,
     kernel: &K,
@@ -1502,32 +1304,11 @@ fn launch_inner<K: Kernel + Sync>(
         });
     }
     // The model is machine state for the duration of the launch: fences
-    // consult it ([`Machine::gpu_system_fence`]), and the engines read it
+    // consult it ([`Machine::gpu_system_fence`]), and the engine reads it
     // back for the timing model.
     let model = resolved_persistency(&cfg);
     machine.set_persistency(model);
-    let threads = resolve_engine_threads(&cfg);
-    // The parallel path needs independent blocks (capability), more than
-    // one block to spread, and an inert gauge (fuel and schedule recording
-    // draw from a global operation order that only sequential execution
-    // defines).
-    let result = if threads > 1
-        && cfg.grid > 1
-        && gauge.is_inert()
-        && kernel.capability() == KernelCapability::BlockParallel
-    {
-        match launch_parallel(machine, cfg, kernel, threads) {
-            Some(report) => Ok(report),
-            // A worker erred or a cross-block conflict surfaced: the machine
-            // is untouched, so the sequential engine reruns from the same
-            // state and produces the canonical outcome (including the
-            // canonical error).
-            None => launch_sequential(machine, cfg, kernel, gauge),
-        }
-    } else {
-        launch_sequential(machine, cfg, kernel, gauge)
-    };
-    let report = match result {
+    let report = match launch_sequential(machine, cfg, kernel, gauge) {
         Ok(report) => report,
         Err(LaunchError::Sim(e)) => {
             if machine.trace_enabled() {
@@ -1535,8 +1316,8 @@ fn launch_inner<K: Kernel + Sync>(
             }
             return Err(LaunchError::Sim(e));
         }
-        // A mid-kernel crash already closed its spans (the sequential
-        // engine emits BlockCommit + KernelEnd before wiping state, and
+        // A mid-kernel crash already closed its spans (the engine emits
+        // BlockCommit + KernelEnd before wiping state, and
         // the Crash event cuts anything still open in the sink). Closed
         // epoch lines stay pending: the crash resolves their fate, which is
         // exactly the crash-vulnerability window epoch persistency buys its
@@ -1551,9 +1332,6 @@ fn launch_inner<K: Kernel + Sync>(
     }
     if machine.trace_enabled() {
         machine.trace(EventKind::KernelEnd { launch: launch_ord });
-        machine.trace(EventKind::EngineCommit {
-            threads: report.threads_used,
-        });
     }
     // Launch completion is a commit boundary too: host-side work (log
     // clears, flag flips) between launches lands right after it, and a
@@ -1563,9 +1341,9 @@ fn launch_inner<K: Kernel + Sync>(
     Ok(report)
 }
 
-/// The legacy engine: blocks run in order against the live machine. Costs
-/// are still accumulated per block and merged in block order so
-/// floating-point sums associate exactly as the parallel path's commit does.
+/// Runs the blocks in order against the live machine. Costs are
+/// accumulated per block and merged in block order: that fixes how the
+/// floating-point sums associate, and so the bits of simulated time.
 fn launch_sequential<K: Kernel>(
     machine: &mut Machine,
     cfg: LaunchConfig,
@@ -1602,7 +1380,7 @@ fn launch_sequential<K: Kernel>(
                 let mut vectored = false;
                 if !trace_blocks && gauge.covers_warp(warp_fuel, lanes) {
                     let mut ctx = WarpCtx {
-                        mem: EngineMem::Live(machine),
+                        machine,
                         costs: &mut costs,
                         scratch: &mut scratch,
                         gauge,
@@ -1640,7 +1418,7 @@ fn launch_sequential<K: Kernel>(
                         let id = ThreadId { block, thread };
                         let writer = id.global(&cfg) as WriterId;
                         let mut ctx = ThreadCtx {
-                            mem: EngineMem::Live(machine),
+                            machine,
                             costs: &mut costs,
                             scratch: &mut scratch,
                             gauge,
@@ -1669,7 +1447,7 @@ fn launch_sequential<K: Kernel>(
                         }
                     }
                 }
-                scratch.drain(&mut EngineMem::Live(machine), &mut costs);
+                scratch.drain(machine, &mut costs);
             }
         }
         total.merge(&costs);
@@ -1685,195 +1463,6 @@ fn launch_sequential<K: Kernel>(
     Ok(KernelReport {
         elapsed,
         costs: total,
-        threads_used: 1,
-    })
-}
-
-/// Reusable per-worker execution buffers: one allocation for the whole
-/// chunk of blocks, mirroring the sequential engine's reuse of `states`,
-/// `shared`, and the warp scratch.
-struct WorkerScratch<K: Kernel> {
-    scratch: WarpScratch,
-    states: Vec<K::State>,
-    shared: K::Shared,
-}
-
-impl<K: Kernel> WorkerScratch<K> {
-    fn new() -> WorkerScratch<K> {
-        WorkerScratch {
-            scratch: WarpScratch::default(),
-            states: Vec::new(),
-            shared: K::Shared::default(),
-        }
-    }
-}
-
-/// Runs one block against a fresh stage over the frozen machine, returning
-/// its buffered effects and costs, or `Err` on any functional error (the
-/// caller falls back to the sequential engine for the canonical outcome).
-fn run_block_staged<K: Kernel>(
-    base: &Machine,
-    cfg: LaunchConfig,
-    kernel: &K,
-    block: u32,
-    ws: &mut WorkerScratch<K>,
-) -> Result<(BlockStage, KernelCosts), ()> {
-    let mut stage = BlockStage::new();
-    let mut costs = KernelCosts::default();
-    let WorkerScratch {
-        scratch,
-        states,
-        shared,
-    } = ws;
-    kernel.reset_shared(shared);
-    states.clear();
-    states.resize_with(cfg.block as usize, K::State::default);
-    let mut gauge = FuelGauge::Unlimited;
-    // The parallel path already requires an inert gauge, so staged blocks
-    // vectorize whenever no trace sink is installed — the same launch-wide
-    // rule the sequential engine applies.
-    let vectorize = !base.trace_enabled();
-
-    for phase in 0..kernel.phases() {
-        for warp in 0..cfg.warps_per_block() {
-            let first = warp * WARP_SIZE;
-            let lanes = (cfg.block - first).min(WARP_SIZE);
-            let mut vectored = false;
-            if vectorize {
-                let mut ctx = WarpCtx {
-                    mem: EngineMem::Staged {
-                        base,
-                        stage: &mut stage,
-                    },
-                    costs: &mut costs,
-                    scratch,
-                    gauge: &mut gauge,
-                    launch: cfg,
-                    block,
-                    warp,
-                    lanes,
-                    writer0: (block as u64 * cfg.block as u64 + first as u64) as WriterId,
-                    op_seq: 0,
-                };
-                let lo = first as usize;
-                vectored = kernel
-                    .run_warp(
-                        phase,
-                        &mut ctx,
-                        &mut states[lo..lo + lanes as usize],
-                        shared,
-                    )
-                    .map_err(|_| ())?;
-            }
-            if !vectored {
-                for lane in 0..WARP_SIZE {
-                    let thread = first + lane;
-                    if thread >= cfg.block {
-                        break;
-                    }
-                    let id = ThreadId { block, thread };
-                    let writer = id.global(&cfg) as WriterId;
-                    let mut ctx = ThreadCtx {
-                        mem: EngineMem::Staged {
-                            base,
-                            stage: &mut stage,
-                        },
-                        costs: &mut costs,
-                        scratch,
-                        gauge: &mut gauge,
-                        launch: cfg,
-                        id,
-                        writer,
-                        op_seq: 0,
-                    };
-                    kernel
-                        .run(phase, &mut ctx, &mut states[thread as usize], shared)
-                        .map_err(|_| ())?;
-                }
-            }
-            scratch.drain(
-                &mut EngineMem::Staged {
-                    base,
-                    stage: &mut stage,
-                },
-                &mut costs,
-            );
-        }
-    }
-    Ok((stage, costs))
-}
-
-/// The block-parallel engine: a scoped worker pool runs each block against a
-/// block-local stage over the frozen machine, then the main thread validates
-/// and commits the stages serially in block-id order. Returns `None` —
-/// machine untouched — when any worker erred or any block read a line a
-/// lower-numbered block wrote (sequential execution would have shown it
-/// newer data).
-fn launch_parallel<K: Kernel + Sync>(
-    machine: &mut Machine,
-    cfg: LaunchConfig,
-    kernel: &K,
-    threads: u32,
-) -> Option<KernelReport> {
-    let grid = cfg.grid as usize;
-    let workers = (threads as usize).min(grid);
-    let chunk = grid.div_ceil(workers);
-    let mut slots: Vec<Option<Result<(BlockStage, KernelCosts), ()>>> = Vec::new();
-    slots.resize_with(grid, || None);
-
-    {
-        let base: &Machine = machine;
-        std::thread::scope(|s| {
-            for (w, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
-                let first_block = (w * chunk) as u32;
-                s.spawn(move || {
-                    let mut ws = WorkerScratch::<K>::new();
-                    for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                        let block = first_block + i as u32;
-                        *slot = Some(run_block_staged(base, cfg, kernel, block, &mut ws));
-                    }
-                });
-            }
-        });
-    }
-
-    // Validate before committing anything: all-or-nothing, no rollback.
-    let mut written: HashSet<LineKey> = HashSet::new();
-    let mut stages = Vec::with_capacity(grid);
-    for slot in slots {
-        let (stage, costs) = slot.expect("worker filled its slot").ok()?;
-        if stage.reads_conflict(&written) {
-            return None;
-        }
-        stage.extend_writes(&mut written);
-        stages.push((stage, costs));
-    }
-
-    let pattern_before = machine.gpu_pm_pattern.clone();
-    let mut total = KernelCosts::default();
-    for (block, (stage, costs)) in stages.iter().enumerate() {
-        if machine.trace_enabled() {
-            machine.trace(EventKind::BlockBegin {
-                block: block as u32,
-            });
-        }
-        stage.commit(machine);
-        total.merge(costs);
-        if machine.trace_enabled() {
-            machine.trace(EventKind::BlockCommit {
-                block: block as u32,
-            });
-        }
-    }
-
-    let pattern_delta: PatternTracker = machine.gpu_pm_pattern.delta(&pattern_before);
-    let elapsed =
-        total.elapsed_with_model(&machine.cfg, &cfg, &pattern_delta, machine.persistency());
-    machine.clock.advance(elapsed);
-    Some(KernelReport {
-        elapsed,
-        costs: total,
-        threads_used: workers as u32,
     })
 }
 
@@ -2107,25 +1696,6 @@ mod tests {
     }
 
     #[test]
-    fn record_gauge_forces_sequential_engine() {
-        let mut m = Machine::default();
-        let pm = m.alloc_pm(1 << 20).unwrap();
-        let k = FnKernel(|ctx: &mut ThreadCtx<'_>| {
-            let i = ctx.global_id();
-            ctx.st_u64(Addr::pm(pm + i * 8), i)
-        });
-        let mut gauge = FuelGauge::record();
-        let r = launch_with_gauge(
-            &mut m,
-            LaunchConfig::new(8, 64).with_engine_threads(4),
-            &k,
-            &mut gauge,
-        )
-        .unwrap();
-        assert_eq!(r.threads_used, 1, "recording needs the global op order");
-    }
-
-    #[test]
     fn hbm_traffic_counts_bytes_not_txns() {
         let mut m = Machine::default();
         let hbm = m.alloc_hbm(1 << 16).unwrap();
@@ -2164,7 +1734,7 @@ mod tests {
         assert!(times[1] > times[2], "{:?}", times);
     }
 
-    /// Two machines with identical setup for comparing engine modes.
+    /// Two machines with identical setup for comparing execution paths.
     fn twin_machines(pm_bytes: u64) -> (Machine, Machine, u64) {
         let mut a = Machine::default();
         let mut b = Machine::default();
@@ -2175,47 +1745,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_commit_matches_sequential_bit_for_bit() {
-        let (mut seq, mut par, pm) = twin_machines(1 << 20);
-        seq.set_ddio(false);
-        par.set_ddio(false);
-        let k = FnKernel(|ctx: &mut ThreadCtx<'_>| {
-            let i = ctx.global_id();
-            ctx.st_u64(Addr::pm(pm + i * 8), i * 3)?;
-            ctx.compute(Ns(7.5));
-            ctx.threadfence_system()
-        });
-        let r1 = launch(
-            &mut seq,
-            LaunchConfig::new(8, 64).with_engine_threads(1),
-            &k,
-        )
-        .unwrap();
-        let r4 = launch(
-            &mut par,
-            LaunchConfig::new(8, 64).with_engine_threads(4),
-            &k,
-        )
-        .unwrap();
-        assert_eq!(r1.threads_used, 1);
-        assert_eq!(r4.threads_used, 4, "parallel path must have committed");
-        assert_eq!(r1.costs, r4.costs);
-        assert_eq!(r1.elapsed.0.to_bits(), r4.elapsed.0.to_bits());
-        assert_eq!(format!("{:?}", seq.stats), format!("{:?}", par.stats));
-        assert_eq!(seq.clock.now(), par.clock.now());
-        let mut ba = vec![0u8; 8 * 64 * 8];
-        let mut bb = ba.clone();
-        seq.read(Addr::pm(pm), &mut ba).unwrap();
-        par.read(Addr::pm(pm), &mut bb).unwrap();
-        assert_eq!(ba, bb);
-    }
-
-    #[test]
-    fn cross_block_read_conflict_falls_back_to_sequential() {
-        // Block 1+ reads the line block 0 writes: the staged read would see
-        // stale data, so the conflict check must reject the commit and the
-        // sequential rerun must produce the canonical result.
-        let (mut seq, mut par, pm) = twin_machines(1 << 16);
+    fn later_block_sees_earlier_blocks_same_launch_write() {
+        // Blocks run in block-id order against the live machine, so block
+        // 1+ reads the value block 0 stored earlier in the same launch.
+        let mut m = Machine::default();
+        let pm = m.alloc_pm(1 << 16).unwrap();
         let k = FnKernel(|ctx: &mut ThreadCtx<'_>| {
             let i = ctx.global_id();
             if ctx.block_id() == 0 {
@@ -2225,91 +1759,8 @@ mod tests {
                 ctx.st_u64(Addr::pm(pm + i * 8), v + 1)
             }
         });
-        let r1 = launch(
-            &mut seq,
-            LaunchConfig::new(4, 32).with_engine_threads(1),
-            &k,
-        )
-        .unwrap();
-        let r4 = launch(
-            &mut par,
-            LaunchConfig::new(4, 32).with_engine_threads(4),
-            &k,
-        )
-        .unwrap();
-        assert_eq!(r4.threads_used, 1, "conflict must force the fallback");
-        assert_eq!(r1.costs, r4.costs);
-        assert_eq!(format!("{:?}", seq.stats), format!("{:?}", par.stats));
-        assert_eq!(par.read_u64(Addr::pm(pm + 32 * 8)).unwrap(), 43);
-    }
-
-    #[test]
-    fn cross_block_atomics_fall_back_via_conflict_check() {
-        // An unannotated kernel whose blocks all RMW one HBM counter: the
-        // atomic's read half touches a line earlier blocks wrote, so the
-        // runtime check (not the capability flag) catches it.
-        let mut m = Machine::default();
-        let ctr = m.alloc_hbm(4).unwrap();
-        let k =
-            FnKernel(|ctx: &mut ThreadCtx<'_>| ctx.atomic_add_u32(Addr::hbm(ctr), 1).map(|_| ()));
-        let r = launch(&mut m, LaunchConfig::new(4, 64).with_engine_threads(4), &k).unwrap();
-        assert_eq!(r.threads_used, 1);
-        assert_eq!(m.read_u32(Addr::hbm(ctr)).unwrap(), 256);
-    }
-
-    #[test]
-    fn communicating_capability_skips_parallel_path() {
-        use crate::kernel::Communicating;
-        let mut m = Machine::default();
-        let pm = m.alloc_pm(1 << 16).unwrap();
-        let k = Communicating(FnKernel(|ctx: &mut ThreadCtx<'_>| {
-            let i = ctx.global_id();
-            ctx.st_u64(Addr::pm(pm + i * 8), i)
-        }));
-        let r = launch(&mut m, LaunchConfig::new(4, 32).with_engine_threads(4), &k).unwrap();
-        assert_eq!(r.threads_used, 1, "capability flag must veto parallelism");
-    }
-
-    #[test]
-    fn parallel_errors_rerun_sequentially_for_canonical_outcome() {
-        // A worker hits out-of-bounds: the launch must surface the same
-        // error (and leave the same machine state) sequential execution does.
-        let (mut seq, mut par, _) = twin_machines(4096);
-        let pm = seq.space_capacity(MemSpace::Pm) - 2048;
-        let k = FnKernel(|ctx: &mut ThreadCtx<'_>| {
-            let i = ctx.global_id();
-            ctx.st_u64(Addr::pm(pm + i * 64), i) // blocks 1+ run off the end
-        });
-        let e1 = launch(
-            &mut seq,
-            LaunchConfig::new(4, 32).with_engine_threads(1),
-            &k,
-        )
-        .unwrap_err();
-        let e4 = launch(
-            &mut par,
-            LaunchConfig::new(4, 32).with_engine_threads(4),
-            &k,
-        )
-        .unwrap_err();
-        assert_eq!(format!("{e1}"), format!("{e4}"));
-        assert_eq!(format!("{:?}", seq.stats), format!("{:?}", par.stats));
-        let mut ba = vec![0u8; 2048];
-        let mut bb = ba.clone();
-        seq.read(Addr::pm(pm), &mut ba).unwrap();
-        par.read(Addr::pm(pm), &mut bb).unwrap();
-        assert_eq!(ba, bb, "partial effects of the failed launch must match");
-    }
-
-    #[test]
-    fn env_thread_count_is_overridden_by_launch_config() {
-        // `with_engine_threads(1)` pins the sequential path regardless of
-        // the environment; grid=1 never parallelizes.
-        let mut m = Machine::default();
-        let pm = m.alloc_pm(4096).unwrap();
-        let k = FnKernel(|ctx: &mut ThreadCtx<'_>| ctx.st_u32(Addr::pm(pm), 1));
-        let r = launch(&mut m, LaunchConfig::new(1, 32).with_engine_threads(8), &k).unwrap();
-        assert_eq!(r.threads_used, 1, "a single block cannot spread");
+        launch(&mut m, LaunchConfig::new(4, 32), &k).unwrap();
+        assert_eq!(m.read_u64(Addr::pm(pm + 32 * 8)).unwrap(), 43);
     }
 
     /// A store(+fence) kernel implemented both per-lane and vectorized, for
@@ -2404,7 +1855,7 @@ mod tests {
 
     #[test]
     fn vectorized_contiguous_store_matches_per_lane_bit_for_bit() {
-        let cfg = LaunchConfig::new(4, 64).with_engine_threads(1);
+        let cfg = LaunchConfig::new(4, 64);
         let ((mut lane, rl), (mut vec, rv)) = vec_twins(1 << 20, cfg, 8, 1, true);
         assert_eq!(rl.costs, rv.costs);
         assert_eq!(rl.elapsed.0.to_bits(), rv.elapsed.0.to_bits());
@@ -2432,7 +1883,7 @@ mod tests {
         // neighbours re-dirty — bytes_persisted is the one documented
         // divergence; everything the timing model and the golden gates
         // consume must still match exactly.
-        let cfg = LaunchConfig::new(2, 64).with_engine_threads(1);
+        let cfg = LaunchConfig::new(2, 64);
         let ((lane, rl), (vec, rv)) = vec_twins(1 << 20, cfg, 32, 4, true);
         assert_eq!(rl.costs, rv.costs);
         assert_eq!(rl.elapsed.0.to_bits(), rv.elapsed.0.to_bits());
@@ -2459,7 +1910,7 @@ mod tests {
         // lane's store on its own CPU line (stride 64) no line is re-dirtied
         // between fences, so lane-major and operation-major drain exactly the
         // same bytes: 8 warps × 32 lanes × one 64-byte line each.
-        let cfg = LaunchConfig::new(4, 64).with_engine_threads(1);
+        let cfg = LaunchConfig::new(4, 64);
         let ((lane, _), (vec, _)) = vec_twins(1 << 20, cfg, 64, 1, true);
         assert_eq!(lane.stats.bytes_persisted, vec.stats.bytes_persisted);
         assert_eq!(vec.stats.bytes_persisted, 8 * 32 * 64);
@@ -2477,7 +1928,7 @@ mod tests {
     fn vectorized_partial_tail_warp() {
         // block = 48: a full warp plus a 16-lane tail. The tail's vector ops
         // must cover exactly 16 lanes.
-        let cfg = LaunchConfig::new(2, 48).with_engine_threads(1);
+        let cfg = LaunchConfig::new(2, 48);
         let ((lane, rl), (vec, rv)) = vec_twins(1 << 20, cfg, 8, 1, false);
         assert_eq!(rl.costs, rv.costs);
         assert_eq!(rl.elapsed.0.to_bits(), rv.elapsed.0.to_bits());
@@ -2490,7 +1941,7 @@ mod tests {
     /// Counts `run` invocations to observe which path the engine took.
     struct CountingKernel {
         pm: u64,
-        runs: std::sync::atomic::AtomicU64,
+        runs: std::cell::Cell<u64>,
     }
 
     impl Kernel for CountingKernel {
@@ -2504,7 +1955,7 @@ mod tests {
             _state: &mut (),
             _shared: &mut (),
         ) -> SimResult<()> {
-            self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.runs.set(self.runs.get() + 1);
             let i = ctx.global_id();
             ctx.st_u64(Addr::pm(self.pm + i * 8), i)
         }
@@ -2530,7 +1981,7 @@ mod tests {
     fn counting_kernel(m: &mut Machine) -> CountingKernel {
         CountingKernel {
             pm: m.alloc_pm(1 << 16).unwrap(),
-            runs: std::sync::atomic::AtomicU64::new(0),
+            runs: std::cell::Cell::new(0),
         }
     }
 
@@ -2538,8 +1989,8 @@ mod tests {
     fn vectorized_path_skips_per_lane_run() {
         let mut m = Machine::default();
         let k = counting_kernel(&mut m);
-        launch(&mut m, LaunchConfig::new(2, 64).with_engine_threads(1), &k).unwrap();
-        assert_eq!(k.runs.load(std::sync::atomic::Ordering::Relaxed), 0);
+        launch(&mut m, LaunchConfig::new(2, 64), &k).unwrap();
+        assert_eq!(k.runs.get(), 0);
     }
 
     #[test]
@@ -2547,9 +1998,9 @@ mod tests {
         let mut m = Machine::default();
         let k = counting_kernel(&mut m);
         m.set_trace_sink(Box::new(gpm_sim::RingSink::new(1 << 16)));
-        launch(&mut m, LaunchConfig::new(2, 64).with_engine_threads(1), &k).unwrap();
+        launch(&mut m, LaunchConfig::new(2, 64), &k).unwrap();
         assert_eq!(
-            k.runs.load(std::sync::atomic::Ordering::Relaxed),
+            k.runs.get(),
             128,
             "per-lane trace events need the per-lane walk"
         );
@@ -2559,49 +2010,12 @@ mod tests {
     fn counting_gauge_forces_per_lane_fallback() {
         let mut m = Machine::default();
         let k = counting_kernel(&mut m);
-        launch_with_fuel(
-            &mut m,
-            LaunchConfig::new(2, 64).with_engine_threads(1),
-            &k,
-            1 << 20,
-        )
-        .unwrap();
+        launch_with_fuel(&mut m, LaunchConfig::new(2, 64), &k, 1 << 20).unwrap();
         assert_eq!(
-            k.runs.load(std::sync::atomic::Ordering::Relaxed),
+            k.runs.get(),
             128,
             "fuel draws from the per-lane operation order"
         );
-    }
-
-    #[test]
-    fn parallel_engine_commits_vectorized_blocks_bit_for_bit() {
-        let (mut seq, mut par, pm) = twin_machines(1 << 20);
-        seq.set_ddio(false);
-        par.set_ddio(false);
-        let k = VecStore {
-            pm,
-            stride: 8,
-            rounds: 1,
-            fence: true,
-            vectorize: true,
-        };
-        let r1 = launch(
-            &mut seq,
-            LaunchConfig::new(8, 64).with_engine_threads(1),
-            &k,
-        )
-        .unwrap();
-        let r4 = launch(
-            &mut par,
-            LaunchConfig::new(8, 64).with_engine_threads(4),
-            &k,
-        )
-        .unwrap();
-        assert_eq!(r4.threads_used, 4, "parallel path must have committed");
-        assert_eq!(r1.costs, r4.costs);
-        assert_eq!(r1.elapsed.0.to_bits(), r4.elapsed.0.to_bits());
-        assert_eq!(format!("{:?}", seq.stats), format!("{:?}", par.stats));
-        assert_eq!(seq.clock.now(), par.clock.now());
     }
 
     /// One store then a storm of fences per thread: fence latency dominates
@@ -2664,7 +2078,7 @@ mod tests {
             rounds: 64,
             vectorize,
         };
-        let cfg = LaunchConfig::new(4, 64).with_engine_threads(1);
+        let cfg = LaunchConfig::new(4, 64);
         let rs = launch(
             &mut strict,
             cfg.with_persistency(PersistencyModel::Strict),

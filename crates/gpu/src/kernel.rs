@@ -11,30 +11,6 @@ use gpm_sim::SimResult;
 
 use crate::exec::{ThreadCtx, WarpCtx};
 
-/// How a kernel's blocks may be scheduled relative to each other.
-///
-/// The engine runs [`KernelCapability::BlockParallel`] kernels across a host
-/// thread pool (staged execution, deterministic block-order commit) when the
-/// engine thread count allows; [`KernelCapability::Communicating`] kernels
-/// always take the sequential path. The parallel path additionally runs a
-/// line-granular runtime conflict check, so a mis-annotated `BlockParallel`
-/// kernel that *does* read another block's writes falls back to sequential
-/// execution rather than diverging — the annotation is a scheduling hint
-/// plus a guard against non-terminating cross-block waits, not a soundness
-/// obligation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelCapability {
-    /// Blocks never observe each other's writes within one launch (they may
-    /// share read-only data and may write disjoint lines). The common
-    /// GPMbench shape.
-    BlockParallel,
-    /// Blocks communicate mid-kernel — inter-block atomics used as
-    /// synchronization, shared append logs, spin-waits on another block's
-    /// store. Must run sequentially: a spin-wait against a frozen snapshot
-    /// would never terminate.
-    Communicating,
-}
-
 /// A GPU kernel executed over a grid of threadblocks.
 ///
 /// # Examples
@@ -87,14 +63,6 @@ pub trait Kernel {
     /// Number of phases (barrier-separated sections). Defaults to one.
     fn phases(&self) -> u32 {
         1
-    }
-
-    /// Whether this kernel's blocks may execute on separate host threads.
-    /// Defaults to [`KernelCapability::BlockParallel`]; override for kernels
-    /// that communicate across blocks mid-launch (see [`Communicating`] for
-    /// wrapping closure kernels).
-    fn capability(&self) -> KernelCapability {
-        KernelCapability::BlockParallel
     }
 
     /// Resets block-shared state for the next block, reusing its allocation
@@ -213,113 +181,5 @@ where
         _shared: &mut (),
     ) -> SimResult<()> {
         (self.0)(ctx)
-    }
-}
-
-/// Marks the wrapped kernel as [`KernelCapability::Communicating`], forcing
-/// sequential execution. Use for closure kernels whose blocks synchronize
-/// with each other mid-launch (shared append logs, inter-block atomics):
-///
-/// ```
-/// use gpm_gpu::{Communicating, FnKernel, Kernel, KernelCapability, ThreadCtx};
-/// let k = Communicating(FnKernel(|_: &mut ThreadCtx<'_>| Ok(())));
-/// assert_eq!(k.capability(), KernelCapability::Communicating);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Communicating<K>(pub K);
-
-/// Wraps a kernel with an explicitly chosen capability, for kernels whose
-/// cross-block behaviour depends on runtime configuration (e.g. gpKVS is
-/// block-parallel with per-thread HCL undo logging but communicates through
-/// shared partition tails under the conventional-logging baseline):
-///
-/// ```
-/// use gpm_gpu::{Capable, FnKernel, Kernel, KernelCapability, ThreadCtx};
-/// let k = Capable(KernelCapability::Communicating,
-///                 FnKernel(|_: &mut ThreadCtx<'_>| Ok(())));
-/// assert_eq!(k.capability(), KernelCapability::Communicating);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Capable<K>(pub KernelCapability, pub K);
-
-impl<K: Kernel> Kernel for Capable<K> {
-    type State = K::State;
-    type Shared = K::Shared;
-
-    fn phases(&self) -> u32 {
-        self.1.phases()
-    }
-
-    fn capability(&self) -> KernelCapability {
-        self.0
-    }
-
-    fn reset_shared(&self, shared: &mut Self::Shared) {
-        self.1.reset_shared(shared);
-    }
-
-    fn run(
-        &self,
-        phase: u32,
-        ctx: &mut ThreadCtx<'_>,
-        state: &mut Self::State,
-        shared: &mut Self::Shared,
-    ) -> SimResult<()> {
-        self.1.run(phase, ctx, state, shared)
-    }
-
-    fn run_warp(
-        &self,
-        phase: u32,
-        ctx: &mut WarpCtx<'_>,
-        states: &mut [Self::State],
-        shared: &mut Self::Shared,
-    ) -> SimResult<bool> {
-        self.1.run_warp(phase, ctx, states, shared)
-    }
-
-    fn warp_fuel(&self, phase: u32) -> Option<u64> {
-        self.1.warp_fuel(phase)
-    }
-}
-
-impl<K: Kernel> Kernel for Communicating<K> {
-    type State = K::State;
-    type Shared = K::Shared;
-
-    fn phases(&self) -> u32 {
-        self.0.phases()
-    }
-
-    fn capability(&self) -> KernelCapability {
-        KernelCapability::Communicating
-    }
-
-    fn reset_shared(&self, shared: &mut Self::Shared) {
-        self.0.reset_shared(shared);
-    }
-
-    fn run(
-        &self,
-        phase: u32,
-        ctx: &mut ThreadCtx<'_>,
-        state: &mut Self::State,
-        shared: &mut Self::Shared,
-    ) -> SimResult<()> {
-        self.0.run(phase, ctx, state, shared)
-    }
-
-    fn run_warp(
-        &self,
-        phase: u32,
-        ctx: &mut WarpCtx<'_>,
-        states: &mut [Self::State],
-        shared: &mut Self::Shared,
-    ) -> SimResult<bool> {
-        self.0.run_warp(phase, ctx, states, shared)
-    }
-
-    fn warp_fuel(&self, phase: u32) -> Option<u64> {
-        self.0.warp_fuel(phase)
     }
 }

@@ -56,5 +56,5 @@ pub use exec::{
     resolved_persistency, FuelGauge, KernelReport, LaunchError, ThreadCtx, WarpCtx,
 };
 pub use gpm_sim::PersistencyModel;
-pub use kernel::{Capable, Communicating, FnKernel, Kernel, KernelCapability};
+pub use kernel::{FnKernel, Kernel};
 pub use timing::KernelCosts;

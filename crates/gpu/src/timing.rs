@@ -48,10 +48,10 @@ impl KernelCosts {
         *self.serial.entry(key).or_insert(Ns::ZERO) += t;
     }
 
-    /// Folds one block's costs into a launch total. Both engines accumulate
-    /// per block and merge in block-id order, so the floating-point sums
-    /// (`compute`, per-key `serial`) associate identically whether blocks
-    /// ran sequentially or staged on worker threads.
+    /// Folds one block's costs into a launch total. The engine accumulates
+    /// per block and merges in block-id order, which fixes how the
+    /// floating-point sums (`compute`, per-key `serial`) associate, and so
+    /// the bits of simulated time.
     pub fn merge(&mut self, block: &KernelCosts) {
         self.compute += block.compute;
         self.hbm_bytes += block.hbm_bytes;

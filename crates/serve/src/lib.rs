@@ -8,8 +8,8 @@
 //! latency accounting against an SLO.
 //!
 //! Everything runs in simulated time and is seed-deterministic: the same
-//! seed and configuration produce bit-identical results, run to run and
-//! across engine-thread counts (the platform's golden-counter contract).
+//! seed and configuration produce bit-identical results, run to run (the
+//! platform's golden-counter contract).
 //!
 //! ## Pipeline
 //!
@@ -50,7 +50,7 @@ pub use replica::{
     run_replicated_cluster, FailoverInfo, KillPlan, LogShipStats, ReplicatedOutcome,
     ReplicatedShard, ReplicationConfig,
 };
-pub use request::{Op, Request, RequestId, Response, Verdict};
+pub use request::{acked_sets, Op, Request, RequestId, Response, Verdict};
 pub use reshard::{run_resharded_cluster, ReshardOutcome, ReshardPlan};
 pub use router::Router;
 pub use scenario::{run_scenario, scenario_names, ScenarioOutcome};

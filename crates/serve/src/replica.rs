@@ -38,7 +38,7 @@ use gpm_sim::{EventKind, Ns, OracleVerdict, SimResult, Stats, TraceData};
 use gpm_workloads::{KvsParams, LatencyHistogram, Mode, ServeConsistency};
 
 use crate::cluster::{ClusterConfig, ClusterOutcome};
-use crate::request::{Op, Request, Verdict};
+use crate::request::{acked_sets, Request};
 use crate::router::Router;
 use crate::scheduler::{serve_engine, FaultPlan, ServeEngine};
 use crate::shard::Shard;
@@ -409,20 +409,8 @@ pub fn run_replicated_cluster(
         // against the primary's too when it survived.
         let sets = pair.active().kvs_sets().expect("kvs pair");
         let mut ledger = ServeConsistency::new(sets);
-        for (req, resp) in stream.iter().zip(&report.responses) {
-            debug_assert_eq!(req.id, resp.id);
-            if !matches!(resp.verdict, Verdict::Done(_)) {
-                continue;
-            }
-            match req.op {
-                Op::Put { key, value } => ledger.acked_set(key, value),
-                Op::HeavyPut { key, value, work } => {
-                    for (k, v) in Op::heavy_expansion(key, value, work) {
-                        ledger.acked_set(k, v);
-                    }
-                }
-                _ => {}
-            }
+        for (key, value) in acked_sets(stream, &report.responses)? {
+            ledger.acked_set(key, value);
         }
         acked_writes += ledger.acked_writes();
         let replica_dev = pair.replica().kvs_dev().expect("kvs pair");

@@ -9,7 +9,9 @@
 //! dropped: `responses.len() == requests.len()` is an invariant the tests
 //! pin.
 
-use gpm_sim::Ns;
+use std::collections::HashMap;
+
+use gpm_sim::{Ns, SimError, SimResult};
 
 /// Monotone client-assigned request identifier (also the tiebreaker that
 /// keeps per-shard streams deterministic).
@@ -156,6 +158,36 @@ impl Response {
     }
 }
 
+/// The `(key, value)` SETs a shard acknowledged, in response order (which
+/// is apply order): each completed [`Op::Put`], and each completed
+/// [`Op::HeavyPut`] expanded to its SETs. Responses come back in apply
+/// order, not request order, so each is paired with its request by id.
+///
+/// # Errors
+///
+/// [`SimError::Invalid`] when a response answers an id that no request in
+/// `requests` carries.
+pub fn acked_sets(requests: &[Request], responses: &[Response]) -> SimResult<Vec<(u64, u64)>> {
+    let by_id: HashMap<RequestId, &Op> = requests.iter().map(|r| (r.id, &r.op)).collect();
+    let mut writes = Vec::new();
+    for resp in responses {
+        let op = by_id
+            .get(&resp.id)
+            .ok_or(SimError::Invalid("response to an unknown request id"))?;
+        if !resp.is_done() {
+            continue;
+        }
+        match **op {
+            Op::Put { key, value } => writes.push((key, value)),
+            Op::HeavyPut { key, value, work } => {
+                writes.extend(Op::heavy_expansion(key, value, work));
+            }
+            _ => {}
+        }
+    }
+    Ok(writes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,5 +225,59 @@ mod tests {
         assert!(!shed.is_done());
         assert!(Op::Get { key: 1 }.is_get());
         assert!(!Op::Put { key: 1, value: 2 }.is_get());
+    }
+
+    fn req(id: RequestId, op: Op) -> Request {
+        Request {
+            id,
+            arrival: Ns::ZERO,
+            op,
+            class: 0,
+        }
+    }
+
+    fn resp(id: RequestId, verdict: Verdict) -> Response {
+        Response {
+            id,
+            verdict,
+            latency: Ns::ZERO,
+        }
+    }
+
+    #[test]
+    fn acked_sets_pair_by_id_in_response_order() {
+        let reqs = [
+            req(0, Op::Put { key: 10, value: 1 }),
+            req(1, Op::Get { key: 10 }),
+            req(2, Op::Put { key: 20, value: 2 }),
+            req(
+                3,
+                Op::HeavyPut {
+                    key: 30,
+                    value: 3,
+                    work: 2,
+                },
+            ),
+            req(4, Op::Put { key: 40, value: 4 }),
+        ];
+        // Applied out of request order; request 4 was shed.
+        let resps = [
+            resp(2, Verdict::Done(None)),
+            resp(4, Verdict::Overloaded),
+            resp(1, Verdict::Done(Some(1))),
+            resp(3, Verdict::Done(None)),
+            resp(0, Verdict::Done(None)),
+        ];
+        let mut expect = vec![(20, 2)];
+        expect.extend(Op::heavy_expansion(30, 3, 2));
+        expect.push((10, 1));
+        assert_eq!(acked_sets(&reqs, &resps).unwrap(), expect);
+    }
+
+    #[test]
+    fn acked_sets_reject_an_unknown_id() {
+        let reqs = [req(0, Op::Put { key: 10, value: 1 })];
+        let resps = [resp(7, Verdict::Done(None))];
+        assert!(acked_sets(&reqs, &resps).is_err());
     }
 }

@@ -38,7 +38,7 @@ use gpm_sim::{EventKind, Ns, OracleVerdict, SimResult};
 use gpm_workloads::{KvsParams, LatencyHistogram, ServeConsistency, SLOT_BYTES};
 
 use crate::cluster::{ClusterConfig, ClusterOutcome};
-use crate::request::{Op, Request, Verdict};
+use crate::request::{acked_sets, Op, Request};
 use crate::router::Router;
 use crate::scheduler::serve_shard;
 use crate::shard::Shard;
@@ -159,13 +159,11 @@ pub fn run_resharded_cluster(
     let mut migration_start = Ns::ZERO;
     for (s, stream) in streams_a.iter().enumerate() {
         let report = serve_shard(&mut shards[s], stream, &cfg.policy, &cfg.faults)?;
-        // Feed the audit: a completed PUT's key lives, after migration, at
+        // Feed the audit: an acked write's key lives, after migration, at
         // its *new* owner — record it there (last write wins in response
         // order, which is apply order under FIFO batching).
-        for (req, resp) in stream.iter().zip(&report.responses) {
-            if let (Op::Put { key, value }, Verdict::Done(_)) = (req.op, resp.verdict) {
-                ledgers[router_b.route_key(key)].acked_set(key, value);
-            }
+        for (key, value) in acked_sets(stream, &report.responses)? {
+            ledgers[router_b.route_key(key)].acked_set(key, value);
         }
         migration_start = migration_start.max(report.end);
         merge(&mut outcome, report);
@@ -249,10 +247,8 @@ pub fn run_resharded_cluster(
     let streams_b = router_b.partition(phase2);
     for (s, stream) in streams_b.iter().enumerate() {
         let report = serve_shard(&mut shards[s], stream, &cfg.policy, &cfg.faults)?;
-        for (req, resp) in stream.iter().zip(&report.responses) {
-            if let (Op::Put { key, value }, Verdict::Done(_)) = (req.op, resp.verdict) {
-                ledgers[s].acked_set(key, value);
-            }
+        for (key, value) in acked_sets(stream, &report.responses)? {
+            ledgers[s].acked_set(key, value);
         }
         merge(&mut outcome, report);
     }

@@ -3,10 +3,9 @@
 //! Each scenario is a fully self-contained run — traffic, cluster shape,
 //! fault plan — keyed by a stable name, mirroring the recovery campaign's
 //! oracle-name registry. The bench `serve` binary exposes them behind
-//! `--scenario NAME` (and `--list-scenarios`), and CI runs the matrix
-//! scenario × engine-threads, `cmp`-ing the emitted JSON byte-for-byte:
-//! every number below is simulated-domain only, so the sections must be
-//! identical across `GPM_ENGINE_THREADS` settings.
+//! `--scenario NAME` (and `--list-scenarios`), and CI runs every scenario
+//! and checks its oracle. Every number below is simulated-domain only, so
+//! a scenario's JSON is byte-identical run to run.
 //!
 //! Two scenarios double as *audit self-tests*: with `inject_bug` they
 //! deliberately corrupt the replication fabric (a silently dropped log
@@ -455,6 +454,17 @@ mod tests {
         assert!(run_scenario("no_such_scenario", 7, true, false)
             .unwrap()
             .is_none());
+    }
+
+    /// At full scale the drill sheds and batches out of request order, so
+    /// the audit must pair responses with requests by id.
+    #[test]
+    fn full_scale_failover_passes_its_oracle() {
+        let out = run_scenario("failover", 42, false, false)
+            .unwrap()
+            .expect("registered scenario");
+        let v = out.oracle.expect("failover audits PM images");
+        assert!(v.passed(), "{v:?}");
     }
 
     #[test]

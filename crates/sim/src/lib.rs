@@ -52,7 +52,6 @@ pub mod paged;
 pub mod pattern;
 pub mod pm;
 pub mod rng;
-pub mod staged;
 pub mod stats;
 pub mod time;
 pub mod volatile;
@@ -67,7 +66,6 @@ pub use error::{SimError, SimResult};
 pub use machine::Machine;
 pub use pm::{CrashPolicy, CrashReport, WriterId, HOST_WRITER};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
-pub use staged::{BlockStage, LineKey};
 pub use stats::Stats;
 pub use time::{Ns, SimClock};
 

@@ -333,10 +333,8 @@ impl Machine {
 
     /// One coalesced GPU→PM write transaction on the PCIe bus: bumps the
     /// transaction counter, classifies the access pattern (Figure 12), and
-    /// accounts Optane block programs. The single chokepoint shared by the
-    /// live (sequential) and staged-commit (block-parallel) engines, so the
-    /// accounting — and the [`EventKind::PcieWriteTxn`] event — can never
-    /// diverge between them.
+    /// accounts Optane block programs, and emits the
+    /// [`EventKind::PcieWriteTxn`] event.
     pub fn gpu_pm_txn(&mut self, offset: u64, len: u64) {
         self.stats.pcie_write_txns += 1;
         self.gpu_pm_pattern.record(offset, len);
@@ -668,16 +666,6 @@ impl Machine {
             });
         }
         report
-    }
-
-    /// Capacity in bytes of one memory space (what a store's bounds check
-    /// runs against).
-    pub fn space_capacity(&self, space: MemSpace) -> u64 {
-        match space {
-            MemSpace::Pm => self.pm.capacity(),
-            MemSpace::Dram => self.dram.capacity(),
-            MemSpace::Hbm => self.hbm.capacity(),
-        }
     }
 
     /// Direct access to the PM device (tests, fine-grained inspection).

@@ -1,19 +1,12 @@
 //! # gpm-trace — deterministic structured-event tracing
 //!
 //! A dependency-free event layer for the GPM reproduction. Every layer of
-//! the stack — the simulated machine, the kernel execution engines, libGPM's
+//! the stack — the simulated machine, the kernel execution engine, libGPM's
 //! logs and checkpoints, the crash campaign, and the serving frontend —
 //! emits typed [`Event`]s through a [`TraceSink`] installed on the
 //! `Machine`. Timestamps are **sim-clock nanoseconds** (never wall clock),
 //! so a trace is a pure function of seed + configuration: byte-deterministic
 //! across runs and diffable in CI.
-//!
-//! The block-parallel and sequential engines produce identical traces
-//! modulo one normalization rule: events in the `"engine"` category (the
-//! diagnostic [`EventKind::EngineCommit`] marker, which records how many
-//! worker threads staged a launch) are stripped by [`TraceData::normalized`]
-//! — and, in the exported JSON, by `grep -v '"cat":"engine"'`, since every
-//! event is exactly one line.
 //!
 //! Exporters:
 //! * [`chrome_trace_json`] — Chrome trace-event JSON, loadable in
@@ -47,23 +40,15 @@ pub enum EventKind {
         /// Ordinal of the launch being closed.
         launch: u64,
     },
-    /// A block's effects begin applying to the machine (sequential: the
-    /// block starts executing; parallel: its staged commit starts).
+    /// A block starts executing.
     BlockBegin {
         /// Block id within the grid.
         block: u32,
     },
-    /// The block's effects are fully applied.
+    /// The block finished executing; its effects are fully applied.
     BlockCommit {
         /// Block id within the grid.
         block: u32,
-    },
-    /// Diagnostic: how many engine threads staged this launch. The ONLY
-    /// event that differs between engine configurations — category
-    /// `"engine"`, stripped by normalization.
-    EngineCommit {
-        /// Worker thread count used (1 = sequential path).
-        threads: u32,
     },
     /// A coalesced PCIe write transaction reached the PM controller.
     PcieWriteTxn {
@@ -218,15 +203,13 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Category tag for exporters and normalization. `"engine"` events are
-    /// the only ones allowed to differ between engine-thread settings.
+    /// Category tag for exporters.
     pub fn cat(&self) -> &'static str {
         use EventKind::*;
         match self {
             KernelBegin { .. } | KernelEnd { .. } | BlockBegin { .. } | BlockCommit { .. } => {
                 "kernel"
             }
-            EngineCommit { .. } => "engine",
             PcieWriteTxn { .. } | DmaCopy { .. } => "pcie",
             SystemFence { .. }
             | DeviceFence
@@ -385,19 +368,6 @@ pub struct TraceData {
     /// Online per-phase attribution over ALL emitted events, including
     /// dropped ones.
     pub attribution: Attribution,
-}
-
-impl TraceData {
-    /// The normalization rule: engine-category diagnostics are the only
-    /// events allowed to differ between sequential and block-parallel
-    /// execution, so comparisons strip them.
-    pub fn normalized(&self) -> Vec<Event> {
-        self.events
-            .iter()
-            .copied()
-            .filter(|e| e.kind.cat() != "engine")
-            .collect()
-    }
 }
 
 /// Event consumer installed on a `Machine`. Implementations must be cheap:
@@ -564,9 +534,6 @@ fn write_args(out: &mut String, kind: &EventKind) {
         BlockBegin { block } | BlockCommit { block } => {
             let _ = write!(out, "{{\"block\":{block}}}");
         }
-        EngineCommit { threads } => {
-            let _ = write!(out, "{{\"threads\":{threads}}}");
-        }
         PcieWriteTxn { offset, bytes } => {
             let _ = write!(out, "{{\"offset\":{offset},\"bytes\":{bytes}}}");
         }
@@ -635,7 +602,6 @@ fn chrome_shape(kind: &EventKind) -> (&'static str, char, u32) {
         KernelEnd { .. } => ("kernel", 'E', 0),
         BlockBegin { .. } => ("block", 'B', 0),
         BlockCommit { .. } => ("block", 'E', 0),
-        EngineCommit { .. } => ("engine_commit", 'i', 9),
         PcieWriteTxn { .. } => ("pcie_txn", 'i', 1),
         DmaCopy { .. } => ("dma", 'i', 1),
         SystemFence { .. } => ("system_fence", 'i', 2),
@@ -666,7 +632,7 @@ fn chrome_shape(kind: &EventKind) -> (&'static str, char, u32) {
     }
 }
 
-const THREAD_NAMES: [(u32, &str); 8] = [
+const THREAD_NAMES: [(u32, &str); 7] = [
     (0, "kernel"),
     (1, "pcie"),
     (2, "persist"),
@@ -674,7 +640,6 @@ const THREAD_NAMES: [(u32, &str); 8] = [
     (4, "faults"),
     (5, "serve"),
     (6, "replication"),
-    (9, "engine"),
 ];
 
 fn write_attribution(out: &mut String, attr: &Attribution) {
@@ -701,8 +666,8 @@ fn write_attribution(out: &mut String, attr: &Attribution) {
 
 /// Renders one or more shards' traces as Chrome trace-event JSON (schema
 /// `gpm-trace-v1`). Each shard becomes one `pid` with named virtual
-/// threads; every event is exactly **one line**, so the normalization rule
-/// is implementable in a shell as `grep -v '"cat":"engine"'`.
+/// threads; every event is exactly **one line**, so shell tools can
+/// filter and diff traces line by line.
 ///
 /// `stats_bytes_persisted` is the traced machines' `Stats::bytes_persisted`
 /// total for the traced window; it is embedded next to the attribution so a
@@ -924,30 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn normalization_strips_engine_category_only() {
-        let data = TraceData {
-            events: vec![
-                ev(
-                    0.0,
-                    EventKind::KernelBegin {
-                        launch: 1,
-                        grid: 2,
-                        block_dim: 4,
-                    },
-                ),
-                ev(1.0, EventKind::EngineCommit { threads: 4 }),
-                ev(2.0, EventKind::KernelEnd { launch: 1 }),
-            ],
-            dropped_events: 0,
-            attribution: Attribution::default(),
-        };
-        let norm = data.normalized();
-        assert_eq!(norm.len(), 2);
-        assert!(norm.iter().all(|e| e.kind.cat() != "engine"));
-    }
-
-    #[test]
-    fn chrome_export_is_one_event_per_line_and_tags_engine_cat() {
+    fn chrome_export_is_one_event_per_line() {
         let data = TraceData {
             events: vec![
                 ev(
@@ -958,7 +900,7 @@ mod tests {
                         block_dim: 4,
                     },
                 ),
-                ev(1500.0, EventKind::EngineCommit { threads: 4 }),
+                ev(1500.0, EventKind::DeviceFence),
                 ev(2000.0, EventKind::KernelEnd { launch: 1 }),
             ],
             dropped_events: 3,
@@ -968,14 +910,9 @@ mod tests {
         assert!(json.contains("\"schema\":\"gpm-trace-v1\""));
         assert!(json.contains("\"dropped_events\":3"));
         assert!(json.contains("\"ts\":1.000")); // 1000 ns -> 1.000 us
-                                                // Exactly one line mentions the engine category, so shell-level
-                                                // normalization (grep -v) removes exactly the EngineCommit event.
-        let engine_lines: Vec<&str> = json
-            .lines()
-            .filter(|l| l.contains("\"cat\":\"engine\""))
-            .collect();
-        assert_eq!(engine_lines.len(), 1);
-        assert!(engine_lines[0].contains("\"threads\":4"));
+                                                // Exactly one line per event, so line-based tools see each whole.
+        let fence_lines = json.lines().filter(|l| l.contains("device_fence"));
+        assert_eq!(fence_lines.count(), 1);
         // Every traceEvent line is self-contained JSON-ish (starts with {).
         assert!(json
             .lines()

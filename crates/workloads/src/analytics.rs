@@ -24,8 +24,8 @@
 //!    [`crate::hash_shard`]: key = user id, value = the packed per-user
 //!    analytics state (see [`AnalyticsParams::step_state`]). The fold
 //!    kernel groups each batch's events per user (one thread per distinct
-//!    user, same-set users packed into the same threadblock, so the kernel
-//!    commits under the block-parallel engine) and publishes the folded
+//!    user, same-set users packed into the same threadblock, so blocks
+//!    never touch each other's table lines) and publishes the folded
 //!    state through [`shard_apply_detectable`] — the descriptor/record
 //!    checks make the *non-idempotent* fold exactly-once under
 //!    crash-and-retry, which the campaign's `--double-recovery` oracle
@@ -59,8 +59,7 @@ use gpm_core::{
     DetectArea, GpmLog, GpmThreadExt, GpmWarpExt, TxnFlag,
 };
 use gpm_gpu::{
-    launch_with_gauge, Capable, Communicating, FnKernel, FuelGauge, Kernel, KernelCapability,
-    LaunchConfig, LaunchError, ThreadCtx, WarpCtx,
+    launch_with_gauge, FnKernel, FuelGauge, Kernel, LaunchConfig, LaunchError, ThreadCtx, WarpCtx,
 };
 use gpm_sim::{
     Addr, CrashPolicy, CrashSchedule, EventKind, Machine, Ns, OracleVerdict, SimError, SimResult,
@@ -372,10 +371,6 @@ impl Kernel for JournalKernel {
     type State = ();
     type Shared = ();
 
-    fn capability(&self) -> KernelCapability {
-        KernelCapability::BlockParallel
-    }
-
     fn run(&self, _phase: u32, ctx: &mut ThreadCtx<'_>, _: &mut (), _: &mut ()) -> SimResult<()> {
         let i = ctx.global_id();
         if i >= self.n_events {
@@ -563,10 +558,9 @@ impl AnalyticsWorkload {
     /// preserved within a user), stable-sorts the distinct users by table
     /// set, and packs them into 256-user blocks such that no set group
     /// straddles a block boundary (padding with user-0 sentinels). Blocks
-    /// therefore never touch each other's table lines and the fold kernel
-    /// commits under the block-parallel engine. Falls back to the
+    /// therefore never touch each other's table lines. Falls back to the
     /// first-appearance layout if padding would overflow the buffers (the
-    /// engine then serializes that batch; the kernel stays correct).
+    /// kernel stays correct).
     fn pack_batch(&self, events: &[UserEvent]) -> PackedEvents {
         let sets = self.params.sets;
         let (mut order, mut groups) = group_events(events);
@@ -670,7 +664,7 @@ impl AnalyticsWorkload {
     /// its event slice, folds [`AnalyticsParams::step_state`] over it, and
     /// publishes the new state through the detectable RMW protocol with
     /// the tag `op_tag(epoch, thread)`. Per-lane by design (event counts
-    /// diverge); block-parallel thanks to the set partitioning.
+    /// diverge).
     fn fold_kernel(
         &self,
         st: &AnalyticsState,
@@ -684,37 +678,34 @@ impl AnalyticsWorkload {
         let (ev_users, ev_start, ev_count, ev_packed) =
             (st.ev_users, st.ev_start, st.ev_count, st.ev_packed);
         let inject = self.inject_double_apply;
-        Capable(
-            KernelCapability::BlockParallel,
-            FnKernel(move |ctx: &mut ThreadCtx<'_>| {
-                let tid = ctx.global_id();
-                if tid >= n_users {
-                    return Ok(());
-                }
-                let user = ctx.ld_u64(Addr::hbm(ev_users + tid * 8))?;
-                if user == 0 {
-                    return Ok(()); // block-boundary padding sentinel
-                }
-                let start = ctx.ld_u32(Addr::hbm(ev_start + tid * 4))? as u64;
-                let count = ctx.ld_u32(Addr::hbm(ev_count + tid * 4))? as u64;
-                let mut evs = Vec::with_capacity(count as usize);
-                for i in 0..count {
-                    evs.push(ctx.ld_u64(Addr::hbm(ev_packed + (start + i) * 8))?);
-                }
-                ctx.compute(Ns(18.0 * count as f64)); // state-machine scan
-                shard_apply_detectable(
-                    ctx,
-                    &shard,
-                    &detect,
-                    &log,
-                    tid,
-                    op_tag(epoch, tid),
-                    user,
-                    |old| p.fold_packed(old.unwrap_or(0), &evs),
-                    inject,
-                )
-            }),
-        )
+        FnKernel(move |ctx: &mut ThreadCtx<'_>| {
+            let tid = ctx.global_id();
+            if tid >= n_users {
+                return Ok(());
+            }
+            let user = ctx.ld_u64(Addr::hbm(ev_users + tid * 8))?;
+            if user == 0 {
+                return Ok(()); // block-boundary padding sentinel
+            }
+            let start = ctx.ld_u32(Addr::hbm(ev_start + tid * 4))? as u64;
+            let count = ctx.ld_u32(Addr::hbm(ev_count + tid * 4))? as u64;
+            let mut evs = Vec::with_capacity(count as usize);
+            for i in 0..count {
+                evs.push(ctx.ld_u64(Addr::hbm(ev_packed + (start + i) * 8))?);
+            }
+            ctx.compute(Ns(18.0 * count as f64)); // state-machine scan
+            shard_apply_detectable(
+                ctx,
+                &shard,
+                &detect,
+                &log,
+                tid,
+                op_tag(epoch, tid),
+                user,
+                |old| p.fold_packed(old.unwrap_or(0), &evs),
+                inject,
+            )
+        })
     }
 
     /// Opens (or, on a retry, re-enters) the detect epoch for transaction
@@ -944,7 +935,7 @@ impl AnalyticsWorkload {
         let log = st.log.dev();
         let pm_table = st.pm_table;
         gpm_persist_begin(machine);
-        let k = Communicating(FnKernel(move |ctx: &mut ThreadCtx<'_>| {
+        let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
             if Some(ctx.global_id()) == victim && log.tail(ctx)? as usize * 4 >= UNDO_BYTES {
                 log.remove(ctx, UNDO_BYTES)?;
             }
@@ -959,7 +950,7 @@ impl AnalyticsWorkload {
                 log.remove(ctx, UNDO_BYTES)?;
             }
             Ok(())
-        }));
+        });
         launch_with_gauge(machine, self.fold_cfg_full(), &k, gauge)?;
         gpm_persist_end(machine);
         st.flag.commit(machine).map_err(LaunchError::Sim)?;
@@ -1309,74 +1300,6 @@ mod tests {
         assert!(stats.retained > 0, "the trace must produce return visits");
         assert!(stats.completions > 0, "the funnel must complete sometimes");
         assert!(stats.matched > 0, "the sequence must match sometimes");
-    }
-
-    /// Drives one batch end-to-end with the given engine-thread pin;
-    /// returns the fold kernel's report plus PM write/persist deltas.
-    fn drive_one_batch(m: &mut Machine, engine_threads: u32) -> (gpm_gpu::KernelReport, u64, u64) {
-        let w = quick();
-        let st = w.setup(m).unwrap();
-        let events = w.trace().take_events(w.params.events_per_batch);
-        let pe = w.pack_batch(&events);
-        w.upload_batch(m, &st, &pe).unwrap();
-        let epoch = w.enter_epoch(m, &st, 0).unwrap();
-        let s0 = m.stats;
-        gpm_persist_begin(m);
-        gpm_gpu::launch(
-            m,
-            w.cfg(pe.packed.len() as u64)
-                .with_engine_threads(engine_threads),
-            &JournalKernel {
-                src: st.ev_packed,
-                dst: st.journal,
-                n_events: pe.packed.len() as u64,
-            },
-        )
-        .unwrap();
-        let r = gpm_gpu::launch(
-            m,
-            w.cfg(pe.users.len() as u64)
-                .with_engine_threads(engine_threads),
-            &w.fold_kernel(&st, pe.users.len() as u64, epoch),
-        )
-        .unwrap();
-        gpm_persist_end(m);
-        st.flag.commit(m).unwrap();
-        let d = m.stats.delta(&s0);
-        (r, d.pm_write_bytes_gpu, d.bytes_persisted)
-    }
-
-    /// Set-partitioned fold batches carry no cross-block conflicts, so the
-    /// kernel must *commit* under the block-parallel engine.
-    #[test]
-    fn fold_kernel_commits_block_parallel() {
-        let mut m = Machine::default();
-        let (r, _, _) = drive_one_batch(&mut m, 4);
-        assert!(
-            r.threads_used > 1,
-            "set-partitioned fold must commit block-parallel (used {})",
-            r.threads_used
-        );
-    }
-
-    /// Engine threads are a host-side scheduling knob only: counters and
-    /// PM media must be bit-identical across thread counts.
-    #[test]
-    fn engine_threads_do_not_change_counters_or_media() {
-        let mut m1 = Machine::default();
-        let (r1, w1, p1) = drive_one_batch(&mut m1, 1);
-        let mut m4 = Machine::default();
-        let (r4, w4, p4) = drive_one_batch(&mut m4, 4);
-        assert_eq!(r1.threads_used, 1);
-        assert!(r4.threads_used > 1);
-        assert_eq!(w1, w4, "PM write bytes must not depend on engine threads");
-        assert_eq!(p1, p4, "persisted bytes must not depend on engine threads");
-        let bytes = AnalyticsParams::quick().table_bytes() as usize;
-        let (mut t1, mut t4) = (vec![0u8; bytes], vec![0u8; bytes]);
-        let st = quick().setup(&mut Machine::default()).unwrap();
-        m1.read(Addr::pm(st.pm_table), &mut t1).unwrap();
-        m4.read(Addr::pm(st.pm_table), &mut t4).unwrap();
-        assert_eq!(t1, t4, "PM media must be bit-identical");
     }
 
     /// The oracle's rollback cases pass at sampled crash boundaries under

@@ -14,9 +14,7 @@
 
 use gpm_cap::{cap_persist_region, flush_from_cpu, CapFlavor};
 use gpm_core::{gpm_map, gpm_persist_begin, gpm_persist_end, GpmThreadExt};
-use gpm_gpu::{
-    launch_with_gauge, Communicating, FnKernel, FuelGauge, LaunchConfig, LaunchError, ThreadCtx,
-};
+use gpm_gpu::{launch_with_gauge, FnKernel, FuelGauge, LaunchConfig, LaunchError, ThreadCtx};
 use gpm_sim::cpu::CpuCtx;
 use gpm_sim::{
     Addr, CrashPolicy, CrashSchedule, Machine, Ns, OracleVerdict, SimError, SimResult, HOST_WRITER,
@@ -203,10 +201,8 @@ impl BfsWorkload {
         let (row_ptr, cols, hbm_cost, next_count) =
             (st.row_ptr, st.cols, st.hbm_cost, st.next_count);
         let (pm_cost, visit_seq) = (st.pm_cost, st.visit_seq);
-        // Blocks share the frontier queue through `next_count`: genuine
-        // cross-block communication, so the block-parallel engine must not
-        // try this kernel.
-        Communicating(FnKernel(move |ctx: &mut ThreadCtx<'_>| {
+        // Blocks share the frontier queue through `next_count`.
+        FnKernel(move |ctx: &mut ThreadCtx<'_>| {
             let t = ctx.global_id();
             if t >= frontier_len {
                 return Ok(());
@@ -233,7 +229,7 @@ impl BfsWorkload {
                 }
             }
             Ok(())
-        }))
+        })
     }
 
     fn persist_meta(

@@ -16,7 +16,7 @@
 //! (a tagged meta record means "applied"; the retry re-stores column 3 from
 //! the record's redo value rather than trusting the crash to have settled
 //! it). Rows never span threadblocks and the meta/undo state is per-row /
-//! per-thread, so the update kernel commits under the block-parallel engine.
+//! per-thread.
 
 use gpm_cap::{cap_persist_region, flush_from_cpu, CapFlavor};
 use gpm_core::{
@@ -25,8 +25,8 @@ use gpm_core::{
     GpmWarpExt, TxnFlag,
 };
 use gpm_gpu::{
-    launch, launch_with_gauge, Capable, Communicating, FnKernel, FuelGauge, Kernel,
-    KernelCapability, LaunchConfig, LaunchError, ThreadCtx, WarpCtx,
+    launch, launch_with_gauge, FnKernel, FuelGauge, Kernel, LaunchConfig, LaunchError, ThreadCtx,
+    WarpCtx,
 };
 use gpm_sim::cpu::CpuCtx;
 use gpm_sim::{
@@ -414,9 +414,8 @@ impl DbWorkload {
     /// (tag `op_tag(epoch, row)`), so a crashed batch is retryable in
     /// place. Rows and meta records never span threadblocks (256 rows ×
     /// 112 B and 256 × 32 B are both line-aligned block strides) and the
-    /// HCL undo log is per-thread, so the kernel advertises
-    /// [`KernelCapability::BlockParallel`]; only the conventional-log
-    /// ablation (shared partition tails) keeps the `Communicating` pin.
+    /// HCL undo log is per-thread; only the conventional-log ablation
+    /// shares state across blocks (its partition tails).
     /// The predicate is data-dependent (~1/UPDATE_MOD of lanes match), so
     /// warps diverge and the kernel stays per-lane; no `run_warp`.
     #[allow(clippy::too_many_arguments)]
@@ -433,74 +432,66 @@ impl DbWorkload {
         let row_log = st.row_log.dev();
         let inject = self.inject_double_apply;
         let detectable = to_pm && persist;
-        let capability = if self.params.conventional_log_partitions.is_some() {
-            KernelCapability::Communicating
-        } else {
-            KernelCapability::BlockParallel
-        };
-        Capable(
-            capability,
-            FnKernel(move |ctx: &mut ThreadCtx<'_>| {
-                let i = ctx.global_id();
-                if i >= row_count {
-                    return Ok(());
-                }
-                let id = ctx.ld_u64(Addr::hbm(hbm_table + i * ROW_STRIDE))?;
-                ctx.compute(Ns(150.0)); // predicate + column evaluation
-                if id % UPDATE_MOD != UPDATE_RESIDUE {
-                    return Ok(());
-                }
-                let new_val = updated_col_value(id, batch);
-                let col3 = i * ROW_STRIDE + 8 + 3 * 8;
-                if to_pm {
-                    if detectable {
-                        let tag = op_tag(epoch, i);
-                        let meta_addr = Addr::pm(upd_meta + i * UPD_META_BYTES);
-                        let meta = DetectableCas::read(ctx, meta_addr)?;
-                        if !inject && meta[3] == tag {
-                            // Applied before the crash. The crash may have
-                            // settled the meta line without the column store
-                            // (mixed settle policies), so REDO the column
-                            // from the record's redo value — idempotent —
-                            // rather than trusting it reached media.
-                            ctx.st_u64(Addr::pm(pm_table + col3), meta[1])?;
-                            ctx.gpm_persist()?;
-                            ctx.st_u64(Addr::hbm(hbm_table + col3), meta[1])?;
-                            return Ok(());
-                        }
-                        // Undo-log the whole old row (rollback recovery stays
-                        // possible), update column 3, then publish the meta
-                        // record durably — its tag certifies "applied".
-                        let mut old = [0u8; ROW_BYTES as usize];
-                        ctx.ld_bytes(Addr::hbm(hbm_table + i * ROW_STRIDE), &mut old)?;
-                        row_log.insert(ctx, &old)?;
-                        let version = if meta[0] == id && meta[3] == tag {
-                            meta[2] + 1
-                        } else {
-                            1
-                        };
-                        ctx.st_u64(Addr::pm(pm_table + col3), new_val)?;
-                        DetectableCas::publish(ctx, meta_addr, id, new_val, version, tag)?;
+        FnKernel(move |ctx: &mut ThreadCtx<'_>| {
+            let i = ctx.global_id();
+            if i >= row_count {
+                return Ok(());
+            }
+            let id = ctx.ld_u64(Addr::hbm(hbm_table + i * ROW_STRIDE))?;
+            ctx.compute(Ns(150.0)); // predicate + column evaluation
+            if id % UPDATE_MOD != UPDATE_RESIDUE {
+                return Ok(());
+            }
+            let new_val = updated_col_value(id, batch);
+            let col3 = i * ROW_STRIDE + 8 + 3 * 8;
+            if to_pm {
+                if detectable {
+                    let tag = op_tag(epoch, i);
+                    let meta_addr = Addr::pm(upd_meta + i * UPD_META_BYTES);
+                    let meta = DetectableCas::read(ctx, meta_addr)?;
+                    if !inject && meta[3] == tag {
+                        // Applied before the crash. The crash may have
+                        // settled the meta line without the column store
+                        // (mixed settle policies), so REDO the column
+                        // from the record's redo value — idempotent —
+                        // rather than trusting it reached media.
+                        ctx.st_u64(Addr::pm(pm_table + col3), meta[1])?;
+                        ctx.gpm_persist()?;
+                        ctx.st_u64(Addr::hbm(hbm_table + col3), meta[1])?;
+                        return Ok(());
+                    }
+                    // Undo-log the whole old row (rollback recovery stays
+                    // possible), update column 3, then publish the meta
+                    // record durably — its tag certifies "applied".
+                    let mut old = [0u8; ROW_BYTES as usize];
+                    ctx.ld_bytes(Addr::hbm(hbm_table + i * ROW_STRIDE), &mut old)?;
+                    row_log.insert(ctx, &old)?;
+                    let version = if meta[0] == id && meta[3] == tag {
+                        meta[2] + 1
                     } else {
-                        // Legacy path (GPM-NDP): undo-log and store without
-                        // in-kernel ordering; the CPU flushes after.
-                        let mut old = [0u8; ROW_BYTES as usize];
-                        ctx.ld_bytes(Addr::hbm(hbm_table + i * ROW_STRIDE), &mut old)?;
-                        if persist {
-                            row_log.insert(ctx, &old)?;
-                        } else {
-                            row_log.insert_unfenced(ctx, &old)?;
-                        }
-                        ctx.st_u64(Addr::pm(pm_table + col3), new_val)?;
-                        if persist {
-                            ctx.gpm_persist()?;
-                        }
+                        1
+                    };
+                    ctx.st_u64(Addr::pm(pm_table + col3), new_val)?;
+                    DetectableCas::publish(ctx, meta_addr, id, new_val, version, tag)?;
+                } else {
+                    // Legacy path (GPM-NDP): undo-log and store without
+                    // in-kernel ordering; the CPU flushes after.
+                    let mut old = [0u8; ROW_BYTES as usize];
+                    ctx.ld_bytes(Addr::hbm(hbm_table + i * ROW_STRIDE), &mut old)?;
+                    if persist {
+                        row_log.insert(ctx, &old)?;
+                    } else {
+                        row_log.insert_unfenced(ctx, &old)?;
+                    }
+                    ctx.st_u64(Addr::pm(pm_table + col3), new_val)?;
+                    if persist {
+                        ctx.gpm_persist()?;
                     }
                 }
-                ctx.st_u64(Addr::hbm(hbm_table + col3), new_val)?;
-                Ok(())
-            }),
-        )
+            }
+            ctx.st_u64(Addr::hbm(hbm_table + col3), new_val)?;
+            Ok(())
+        })
     }
 
     /// Opens (or, on a retry, re-enters) the detect epoch for UPDATE batch
@@ -1098,8 +1089,8 @@ impl DbWorkload {
                 let pm_table = st.pm_table;
                 gpm_persist_begin(machine);
                 // Blocks cooperatively drain the shared row log (see the KVS
-                // recovery kernel): never block-parallel.
-                let k = Communicating(FnKernel(move |ctx: &mut ThreadCtx<'_>| {
+                // recovery kernel).
+                let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
                     while row_log.tail(ctx)? as u64 * 4 >= ROW_BYTES {
                         let mut old = [0u8; ROW_BYTES as usize];
                         row_log.read_top(ctx, &mut old)?;
@@ -1109,7 +1100,7 @@ impl DbWorkload {
                         row_log.remove(ctx, ROW_BYTES as usize)?;
                     }
                     Ok(())
-                }));
+                });
                 launch(machine, self.update_launch_cfg(), &k)?;
                 gpm_persist_end(machine);
                 // Rollback complete: retire the transaction (which also
@@ -1505,37 +1496,6 @@ mod tests {
         let mut m = Machine::default();
         let r = quick(DbOp::Update).run(&mut m, Mode::GpmNdp).unwrap();
         assert!(r.verified);
-    }
-
-    /// The detectable UPDATE kernel carries no cross-block conflicts (rows
-    /// and meta records are block-aligned), so it must commit under the
-    /// block-parallel engine, and engine threads must not change the media.
-    #[test]
-    fn update_kernel_commits_block_parallel_deterministically() {
-        let drive = |engine_threads: u32| {
-            let mut m = Machine::default();
-            let w = quick(DbOp::Update);
-            let st = w.setup(&mut m, Mode::Gpm).unwrap();
-            let epoch = w.enter_epoch(&mut m, &st, 0).unwrap();
-            let count = w.params.initial_rows;
-            gpm_persist_begin(&mut m);
-            let r = launch(
-                &mut m,
-                w.update_launch_cfg().with_engine_threads(engine_threads),
-                &w.update_kernel(&st, 0, count, epoch, true, true),
-            )
-            .unwrap();
-            gpm_persist_end(&mut m);
-            st.flag.commit(&mut m).unwrap();
-            let mut table = vec![0u8; w.params.table_bytes() as usize];
-            m.read(Addr::pm(st.pm_table), &mut table).unwrap();
-            (r.threads_used, table)
-        };
-        let (t1, media1) = drive(1);
-        let (t4, media4) = drive(4);
-        assert_eq!(t1, 1);
-        assert_eq!(t4, 4, "detectable UPDATE must commit block-parallel");
-        assert_eq!(media1, media4, "PM media must be bit-identical");
     }
 
     /// The double-recovery oracle passes for both query types at sampled

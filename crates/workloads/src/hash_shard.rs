@@ -30,10 +30,7 @@
 //!
 //! Every step is per-thread: the HCL undo log has per-thread partitions and
 //! descriptor slots are per-operation, so the kernel needs no cross-block
-//! communication and runs under the block-parallel engine. Two operations
-//! that collide on a set are caught by the engine's cross-block conflict
-//! validation and fall back to the sequential canonical schedule — a
-//! correctness non-event.
+//! communication.
 //!
 //! **Exactly-once caveat (eviction):** a marked descriptor is always
 //! authoritative, but an op that published, was evicted by a *later* op of

@@ -14,8 +14,7 @@
 //! ("GETs are mostly served out of the GPU's fast HBM", §6.1). Batches are
 //! *hash-partitioned* before upload — operations on the same set are packed
 //! into the same threadblock (MegaKV partitions requests the same way) — so
-//! blocks never read each other's table lines and the batch kernel commits
-//! under the block-parallel engine.
+//! blocks never read each other's table lines.
 //!
 //! Under CAP the table lives only in HBM and the *entire* table is
 //! transferred and persisted by the CPU after each batch — the
@@ -27,8 +26,8 @@ use gpm_core::{
     DetectArea, GpmLog, GpmThreadExt, TxnFlag,
 };
 use gpm_gpu::{
-    launch, launch_with_fuel, launch_with_gauge, Capable, Communicating, FnKernel, FuelGauge,
-    KernelCapability, LaunchConfig, LaunchError, ThreadCtx,
+    launch, launch_with_fuel, launch_with_gauge, FnKernel, FuelGauge, LaunchConfig, LaunchError,
+    ThreadCtx,
 };
 use gpm_sim::{
     Addr, CrashPolicy, CrashSchedule, EventKind, Machine, Ns, OracleVerdict, SimError, SimResult,
@@ -81,12 +80,6 @@ pub struct KvsParams {
     /// [`LaunchConfig::persistency`]; `Some(model)` pins it, which is how
     /// harnesses (enginebench, gpm-serve) select epoch explicitly.
     pub persistency: Option<gpm_gpu::PersistencyModel>,
-    /// Engine worker threads for every kernel this workload launches.
-    /// `None` defers to `GPM_ENGINE_THREADS` (then host parallelism),
-    /// exactly like [`LaunchConfig::engine_threads`]; `Some(n)` pins it,
-    /// which is how determinism tests compare thread counts in-process
-    /// without re-execing under a different environment.
-    pub engine_threads: Option<u32>,
 }
 
 impl Default for KvsParams {
@@ -102,7 +95,6 @@ impl Default for KvsParams {
             conventional_log_partitions: None,
             key_skew: None,
             persistency: None,
-            engine_threads: None,
         }
     }
 }
@@ -127,13 +119,6 @@ impl KvsParams {
     /// Pins the GPU persistency model for every launch of this workload.
     pub fn with_persistency(mut self, model: gpm_gpu::PersistencyModel) -> KvsParams {
         self.persistency = Some(model);
-        self
-    }
-
-    /// Pins the engine worker-thread count for every launch of this
-    /// workload (overriding `GPM_ENGINE_THREADS`).
-    pub fn with_engine_threads(mut self, threads: u32) -> KvsParams {
-        self.engine_threads = Some(threads);
         self
     }
 
@@ -257,9 +242,6 @@ impl KvsWorkload {
         let mut cfg = LaunchConfig::for_elements(n_ops * THREAD_GROUP, 256);
         if let Some(model) = self.params.persistency {
             cfg = cfg.with_persistency(model);
-        }
-        if let Some(threads) = self.params.engine_threads {
-            cfg = cfg.with_engine_threads(threads);
         }
         cfg
     }
@@ -453,12 +435,10 @@ impl KvsWorkload {
     /// (`to_pm && persist`) SETs run the detectable publish protocol with
     /// the tag `op_tag(epoch, slot_index)`.
     ///
-    /// The kernel is per-thread throughout — the HCL undo log, the
+    /// The kernel is per-thread throughout: the HCL undo log, the
     /// descriptor area, and (thanks to hash partitioning) the table's set
-    /// lines are all block-local — so it advertises
-    /// [`KernelCapability::BlockParallel`] and commits under the
-    /// block-parallel engine. Only the conventional-log ablation keeps the
-    /// `Communicating` pin (its partition tails are shared across blocks).
+    /// lines are all block-local. Only the conventional-log ablation shares
+    /// state across blocks (its partition tails).
     fn batch_kernel(
         &self,
         st: &KvsState,
@@ -480,55 +460,47 @@ impl KvsWorkload {
         let log = st.log.dev();
         let inject = self.inject_double_apply;
         let detectable = to_pm && persist;
-        let capability = if p.conventional_log_partitions.is_some() {
-            KernelCapability::Communicating
-        } else {
-            KernelCapability::BlockParallel
-        };
-        Capable(
-            capability,
-            FnKernel(move |ctx: &mut ThreadCtx<'_>| {
-                let tid = ctx.global_id();
-                let op = tid / THREAD_GROUP;
-                if op >= n_ops {
-                    return Ok(());
-                }
-                let key = ctx.ld_u64(Addr::hbm(keys + op * 8))?;
-                if key == 0 {
-                    return Ok(()); // block-boundary padding sentinel
-                }
-                let set = shard.hash_set(key);
-                ctx.compute(Ns(40.0)); // hash + way-probe share of the group
-                                       // One thread of the group is selected to perform the operation
-                                       // (the others assisted the cooperative probe).
-                if tid % THREAD_GROUP != key % THREAD_GROUP {
-                    return Ok(());
-                }
-                let is_get = ctx.ld_u32(Addr::hbm(gets + op * 4))? != 0;
-                if is_get {
-                    let v = shard.lookup(ctx, set, key)?;
-                    let orig = ctx.ld_u32(Addr::hbm(idx + op * 4))? as u64;
-                    ctx.st_u64(Addr::hbm(results + orig * 8), v)?;
-                    return Ok(());
-                }
-                let value = ctx.ld_u64(Addr::hbm(vals + op * 8))?;
-                if detectable {
-                    shard_set_detectable(
-                        ctx,
-                        &shard,
-                        &detect,
-                        &log,
-                        op,
-                        op_tag(epoch, op),
-                        key,
-                        value,
-                        inject,
-                    )
-                } else {
-                    shard_set_legacy(ctx, &shard, &log, key, value, to_pm, persist)
-                }
-            }),
-        )
+        FnKernel(move |ctx: &mut ThreadCtx<'_>| {
+            let tid = ctx.global_id();
+            let op = tid / THREAD_GROUP;
+            if op >= n_ops {
+                return Ok(());
+            }
+            let key = ctx.ld_u64(Addr::hbm(keys + op * 8))?;
+            if key == 0 {
+                return Ok(()); // block-boundary padding sentinel
+            }
+            let set = shard.hash_set(key);
+            ctx.compute(Ns(40.0)); // hash + way-probe share of the group
+                                   // One thread of the group is selected to perform the operation
+                                   // (the others assisted the cooperative probe).
+            if tid % THREAD_GROUP != key % THREAD_GROUP {
+                return Ok(());
+            }
+            let is_get = ctx.ld_u32(Addr::hbm(gets + op * 4))? != 0;
+            if is_get {
+                let v = shard.lookup(ctx, set, key)?;
+                let orig = ctx.ld_u32(Addr::hbm(idx + op * 4))? as u64;
+                ctx.st_u64(Addr::hbm(results + orig * 8), v)?;
+                return Ok(());
+            }
+            let value = ctx.ld_u64(Addr::hbm(vals + op * 8))?;
+            if detectable {
+                shard_set_detectable(
+                    ctx,
+                    &shard,
+                    &detect,
+                    &log,
+                    op,
+                    op_tag(epoch, op),
+                    key,
+                    value,
+                    inject,
+                )
+            } else {
+                shard_set_legacy(ctx, &shard, &log, key, value, to_pm, persist)
+            }
+        })
     }
 
     /// Opens (or, on a retry, re-enters) the detect epoch for transaction
@@ -963,9 +935,8 @@ impl KvsWorkload {
         let pm_table = st.pm_table;
         gpm_persist_begin(machine);
         // Blocks cooperatively drain the shared log: each iteration's tail
-        // read must see other blocks' removals, so this kernel can never run
-        // against a frozen snapshot.
-        let k = Communicating(FnKernel(move |ctx: &mut ThreadCtx<'_>| {
+        // read sees the removals of the blocks before it.
+        let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
             if Some(ctx.global_id()) == victim && log.tail(ctx)? as usize * 4 >= UNDO_BYTES {
                 log.remove(ctx, UNDO_BYTES)?;
             }
@@ -980,7 +951,7 @@ impl KvsWorkload {
                 log.remove(ctx, UNDO_BYTES)?;
             }
             Ok(())
-        }));
+        });
         launch_with_gauge(machine, self.launch_cfg(), &k, gauge)?;
         gpm_persist_end(machine);
         // Recovery complete: clear the transaction flag.
@@ -1302,66 +1273,6 @@ mod tests {
     fn unsupported_modes_error() {
         let mut m = Machine::default();
         assert!(quick().run(&mut m, Mode::Gpufs).is_err());
-    }
-
-    /// Drives one GPM batch end-to-end (pack, upload, launch, commit) with
-    /// the given engine-thread pin; returns the kernel report plus the PM
-    /// write/persist deltas.
-    fn drive_one_batch(m: &mut Machine, engine_threads: u32) -> (gpm_gpu::KernelReport, u64, u64) {
-        let w = quick();
-        let st = w.setup(m, Mode::Gpm).unwrap();
-        let ops = w.gen_batch(0);
-        let packed = w.pack_batch(&ops);
-        w.upload_batch(m, &st, &packed).unwrap();
-        let epoch = w.enter_epoch(m, &st, 0).unwrap();
-        let s0 = m.stats;
-        gpm_persist_begin(m);
-        let r = launch(
-            m,
-            w.cfg_for_ops(packed.len())
-                .with_engine_threads(engine_threads),
-            &w.batch_kernel(&st, packed.len(), epoch, true, true),
-        )
-        .unwrap();
-        gpm_persist_end(m);
-        st.flag.commit(m).unwrap();
-        let d = m.stats.delta(&s0);
-        (r, d.pm_write_bytes_gpu, d.bytes_persisted)
-    }
-
-    /// The tentpole payoff: with hash-partitioned batches the detectable
-    /// SET kernel carries no cross-block conflicts, so it must *commit*
-    /// under the block-parallel engine (not fall back to sequential).
-    #[test]
-    fn batch_kernel_commits_block_parallel() {
-        let mut m = Machine::default();
-        let (r, _, _) = drive_one_batch(&mut m, 4);
-        assert_eq!(
-            r.threads_used, 4,
-            "hash-partitioned batch must commit block-parallel"
-        );
-    }
-
-    /// Engine threads are a host-side scheduling knob only: counters and
-    /// PM media must be bit-identical across thread counts.
-    #[test]
-    fn engine_threads_do_not_change_counters_or_media() {
-        let mut m1 = Machine::default();
-        let (r1, w1, p1) = drive_one_batch(&mut m1, 1);
-        let mut m4 = Machine::default();
-        let (r4, w4, p4) = drive_one_batch(&mut m4, 4);
-        assert_eq!(r1.threads_used, 1);
-        assert_eq!(r4.threads_used, 4);
-        assert_eq!(w1, w4, "PM write bytes must not depend on engine threads");
-        assert_eq!(p1, p4, "persisted bytes must not depend on engine threads");
-        let bytes = KvsParams::quick().table_bytes() as usize;
-        let (mut t1, mut t4) = (vec![0u8; bytes], vec![0u8; bytes]);
-        // Both tables live at the same offset on identical fresh machines.
-        let w = quick();
-        let st1 = w.setup(&mut Machine::default(), Mode::Gpm).unwrap();
-        m1.read(Addr::pm(st1.pm_table), &mut t1).unwrap();
-        m4.read(Addr::pm(st1.pm_table), &mut t4).unwrap();
-        assert_eq!(t1, t4, "PM media must be bit-identical");
     }
 
     /// The double-recovery oracle passes on the correct implementation at

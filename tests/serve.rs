@@ -441,10 +441,10 @@ fn recovery_runs_before_admission_on_a_crashed_image() {
 
 /// The replicated cluster's failover is a simulated event, so the
 /// promotion instant, the measured gap, and every acked write must be
-/// identical whether the shards run the sequential or the block-parallel
-/// engine — the golden-counter contract extended to the failure path.
+/// identical on a rerun — the golden-counter contract extended to the
+/// failure path.
 #[test]
-fn failover_gap_is_identical_across_engine_threads() {
+fn failover_gap_is_identical_across_reruns() {
     use gpm_serve::{run_replicated_cluster, KillPlan, ReplicationConfig};
 
     let reqs = TrafficConfig {
@@ -453,10 +453,9 @@ fn failover_gap_is_identical_across_engine_threads() {
     }
     .generate();
     let kill_at = reqs[reqs.len() / 2].arrival;
-    let run = |threads: u32| {
+    let run = || {
         let mut cfg = ClusterConfig::quick();
         cfg.policy.max_batch = 128;
-        cfg.kvs = cfg.kvs.with_engine_threads(threads);
         let rep = ReplicationConfig {
             kill: Some(KillPlan {
                 shard: 0,
@@ -467,21 +466,25 @@ fn failover_gap_is_identical_across_engine_threads() {
         };
         run_replicated_cluster(&cfg, &rep, &reqs).expect("replicated cluster run")
     };
-    let seq = run(1);
-    let par = run(4);
+    let first = run();
+    let second = run();
     assert!(
-        seq.oracle.passed(),
+        first.oracle.passed(),
         "no acked write may be lost: {:?}",
-        seq.oracle
+        first.oracle
     );
-    assert_eq!(seq.failovers.len(), 1, "exactly one primary death injected");
     assert_eq!(
-        seq.failovers, par.failovers,
-        "promotion sim-time and measured gap must not depend on engine threads"
+        first.failovers.len(),
+        1,
+        "exactly one primary death injected"
     );
-    assert_eq!(seq.acked_writes, par.acked_writes);
-    assert_eq!(seq.log_ship, par.log_ship);
-    assert_eq!(fingerprint(&seq.outcome), fingerprint(&par.outcome));
+    assert_eq!(
+        first.failovers, second.failovers,
+        "promotion sim-time and measured gap must repeat"
+    );
+    assert_eq!(first.acked_writes, second.acked_writes);
+    assert_eq!(first.log_ship, second.log_ship);
+    assert_eq!(fingerprint(&first.outcome), fingerprint(&second.outcome));
 }
 
 /// A replica silently dropping one shipped log batch is divergence the

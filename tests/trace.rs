@@ -2,9 +2,6 @@
 //!
 //! - the same seed + config produces a *byte-identical* Chrome trace JSON,
 //!   run to run;
-//! - the sequential and block-parallel engines produce identical traces
-//!   modulo the documented normalization rule (strip `"cat": "engine"`
-//!   diagnostics — `EngineCommit` is the only event allowed to differ);
 //! - the per-phase attribution summary's `bytes_persisted` sums exactly to
 //!   the machine's `Stats::bytes_persisted` over the traced window.
 
@@ -20,9 +17,9 @@ fn traced_machine(pm_bytes: u64) -> (Machine, u64) {
     (m, pm)
 }
 
-/// Runs the shared stress kernel pinned to `engine_threads`, returning the
-/// trace and the machine's persisted-byte total.
-fn run_traced_kernel(engine_threads: u32) -> (TraceData, u64) {
+/// Runs the shared stress kernel, returning the trace and the machine's
+/// persisted-byte total.
+fn run_traced_kernel() -> (TraceData, u64) {
     let (mut m, pm) = traced_machine(1 << 20);
     m.set_ddio(false);
     let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
@@ -31,26 +28,15 @@ fn run_traced_kernel(engine_threads: u32) -> (TraceData, u64) {
         ctx.compute(Ns(7.5));
         ctx.threadfence_system()
     });
-    let cfg = LaunchConfig::new(8, 64).with_engine_threads(engine_threads);
-    let r = launch(&mut m, cfg, &k).unwrap();
-    assert_eq!(r.threads_used, engine_threads.min(8));
+    launch(&mut m, LaunchConfig::new(8, 64), &k).unwrap();
     let bytes = m.stats.bytes_persisted;
     (m.finish_trace().unwrap(), bytes)
 }
 
-/// Emulates the CI normalization: drop every `"cat": "engine"` line. The
-/// exporter writes one event per line precisely so `grep -v` works.
-fn normalize_json(json: &str) -> String {
-    json.lines()
-        .filter(|l| !l.contains("\"cat\":\"engine\""))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
 fn same_config_same_trace_bytes() {
-    let (a, bytes_a) = run_traced_kernel(1);
-    let (b, bytes_b) = run_traced_kernel(1);
+    let (a, bytes_a) = run_traced_kernel();
+    let (b, bytes_b) = run_traced_kernel();
     assert_eq!(bytes_a, bytes_b);
     let ja = chrome_trace_json(&[("m".to_string(), &a)], bytes_a);
     let jb = chrome_trace_json(&[("m".to_string(), &b)], bytes_b);
@@ -58,35 +44,8 @@ fn same_config_same_trace_bytes() {
 }
 
 #[test]
-fn parallel_trace_matches_sequential_after_normalization() {
-    let (seq, bytes_seq) = run_traced_kernel(1);
-    let (par, bytes_par) = run_traced_kernel(4);
-    assert_eq!(bytes_seq, bytes_par);
-
-    // Raw event streams differ only by the engine-category diagnostics.
-    assert_ne!(
-        seq.events, par.events,
-        "EngineCommit should differ between engines (else this test is vacuous)"
-    );
-    assert_eq!(
-        seq.normalized(),
-        par.normalized(),
-        "normalized event streams must be identical"
-    );
-    // Attribution never counts diagnostics, so it needs no normalization.
-    assert_eq!(seq.attribution, par.attribution);
-
-    // And the same holds for the rendered JSON under the grep-style filter
-    // CI applies to exported trace artifacts.
-    let js = chrome_trace_json(&[("m".to_string(), &seq)], bytes_seq);
-    let jp = chrome_trace_json(&[("m".to_string(), &par)], bytes_par);
-    assert_ne!(js, jp);
-    assert_eq!(normalize_json(&js), normalize_json(&jp));
-}
-
-#[test]
 fn attribution_sums_to_stats_bytes_persisted() {
-    let (data, bytes) = run_traced_kernel(4);
+    let (data, bytes) = run_traced_kernel();
     assert!(bytes > 0, "the stress kernel must persist something");
     assert_eq!(data.attribution.total_bytes_persisted(), bytes);
     assert_eq!(
