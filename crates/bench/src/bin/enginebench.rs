@@ -1,8 +1,7 @@
 //! Offline perf-regression harness for the simulation engine's hot paths.
 //!
-//! Unlike the `criterion`-based benches under `benches/` (which need a
-//! registry to build), this binary is dependency-free and runs in any cold
-//! sandbox: `cargo run --release -p gpm-bench --bin enginebench` (or
+//! This binary is dependency-free and runs in any cold sandbox:
+//! `cargo run --release -p gpm-bench --bin enginebench` (or
 //! `make bench-json`). It drives the engine's stress shapes — a 1M-thread
 //! coalesced-store kernel, a scattered-store kernel that defeats
 //! coalescing, fence-per-store and fence-storm kernels (in strict and

@@ -8,16 +8,16 @@
 //! $ cargo run --release -p gpm-bench --bin gpmbench -- --all --mode gpm --eadr
 //! ```
 
+use gpm_bench::cli::Usage;
 use gpm_sim::{Machine, MachineConfig};
 use gpm_workloads::{suite, Mode, Scale};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: gpmbench (--list | --all | --workload <name>) [--mode <m>] [--quick] [--eadr] [--recover] [--inspect]\n\
-         modes: gpm (default), cap-fs, cap-mm, gpm-ndp, gpufs, cpu-pm"
-    );
-    std::process::exit(2);
-}
+const USAGE: Usage = Usage {
+    bin: "gpmbench",
+    text: "usage: gpmbench (--list | --all | --workload <name>) [--mode <m>] [--quick] [--eadr] \
+           [--recover] [--inspect]\n\
+           modes: gpm (default), cap-fs, cap-mm, gpm-ndp, gpufs, cpu-pm",
+};
 
 fn inspect(m: &Machine) {
     println!("-- machine introspection --");
@@ -55,31 +55,35 @@ fn parse_mode(s: &str) -> Mode {
         "gpm-ndp" | "ndp" => Mode::GpmNdp,
         "gpufs" => Mode::Gpufs,
         "cpu-pm" | "cpu" => Mode::CpuPm,
-        other => {
-            eprintln!("unknown mode {other:?}");
-            usage()
-        }
+        other => USAGE.fail(format!("unknown mode {other:?}")),
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-
-    let scale = if has("--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
+    let (mut list, mut all, mut eadr, mut recover, mut inspect_after) =
+        (false, false, false, false, false);
+    let (mut selected, mut mode, mut scale) = (None, Mode::Gpm, Scale::Full);
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--help" => USAGE.help(),
+            "--list" => list = true,
+            "--all" => all = true,
+            "--workload" => selected = Some(USAGE.value(&mut args, "--workload")),
+            "--mode" => mode = parse_mode(&USAGE.value(&mut args, "--mode")),
+            "--quick" => scale = Scale::Quick,
+            "--eadr" => eadr = true,
+            "--recover" => recover = true,
+            "--inspect" => inspect_after = true,
+            other => USAGE.fail(format!("unknown flag {other:?}")),
+        }
+    }
+    if !list && !all && selected.is_none() {
+        USAGE.fail("pick one of --list, --all or --workload <name>");
+    }
     let mut workloads = suite(scale);
 
-    if has("--list") {
+    if list {
         for w in &workloads {
             let modes: Vec<&str> = Mode::ALL
                 .iter()
@@ -96,14 +100,8 @@ fn main() {
         return;
     }
 
-    let mode = value_of("--mode").map_or(Mode::Gpm, |s| parse_mode(&s));
-    let selected = value_of("--workload");
-    if selected.is_none() && !has("--all") {
-        usage();
-    }
-
     let machine = || {
-        if has("--eadr") {
+        if eadr {
             Machine::new(MachineConfig::default().with_eadr())
         } else {
             Machine::default()
@@ -123,7 +121,7 @@ fn main() {
             continue;
         }
         let mut m = machine();
-        if has("--recover") {
+        if recover {
             match w.run_with_recovery(&mut m) {
                 Ok(Some(r)) => println!(
                     "{:12} {:8} op {:>12}  restore {:>12} ({:.2}%)  verified {}",
@@ -155,7 +153,7 @@ fn main() {
                     r.system_fences,
                     r.verified
                 );
-                if has("--inspect") {
+                if inspect_after {
                     inspect(&m);
                 }
             }

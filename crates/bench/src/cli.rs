@@ -7,14 +7,14 @@ use std::str::FromStr;
 
 /// A binary's name and usage text.
 #[derive(Debug, Clone, Copy)]
-pub struct Usage {
+pub struct Usage<'a> {
     /// Binary name, prefixed to every error line.
-    pub bin: &'static str,
+    pub bin: &'a str,
     /// The usage text (`usage: ...` plus one line per flag).
-    pub text: &'static str,
+    pub text: &'a str,
 }
 
-impl Usage {
+impl Usage<'_> {
     /// `--help`: prints the usage to stdout and exits 0.
     pub fn help(&self) -> ! {
         println!("{}", self.text);

@@ -31,15 +31,30 @@ pub mod report;
 
 pub use report::Report;
 
+use cli::Usage;
 use gpm_workloads::Scale;
 
-/// Parses the common `--quick` flag.
+/// Parses the command line of a figure or table binary, whose one flag is
+/// `--quick` (scaled-down inputs): `--help` prints the usage and exits 0,
+/// and any other argument is a usage error (exit 2).
 pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
+    let mut args = std::env::args();
+    let argv0 = args.next().unwrap_or_default();
+    let bin = std::path::Path::new(&argv0)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("gpm-bench");
+    let text = format!("usage: {bin} [--quick]");
+    let usage = Usage { bin, text: &text };
+    let mut scale = Scale::Full;
+    for arg in args {
+        match arg.as_str() {
+            "--quick" => scale = Scale::Quick,
+            "--help" => usage.help(),
+            other => usage.fail(format!("unknown flag {other:?}")),
+        }
     }
+    scale
 }
 
 /// Runs one report generator: prints the pretty table and saves the TSV

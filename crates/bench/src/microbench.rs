@@ -1,8 +1,7 @@
 //! Microbenchmarks used by the scaling and logging figures.
 
 use gpm_core::{
-    gpm_persist_begin, gpm_persist_end, gpmlog_create_conv, gpmlog_create_hcl,
-    gpmlog_create_hcl_unstriped, GpmThreadExt,
+    gpm_persist_begin, gpm_persist_end, gpmlog_create_conv, gpmlog_create_hcl, GpmThreadExt,
 };
 use gpm_gpu::{launch, FnKernel, LaunchConfig, ThreadCtx};
 use gpm_sim::{Addr, Machine, MachineConfig, Ns, SimResult};
@@ -86,53 +85,20 @@ pub fn logging_microbench(
     total_entries: u64,
     partitions: u32,
 ) -> SimResult<Ns> {
-    let backend = if hcl {
-        LogBackend::Hcl
-    } else {
-        LogBackend::Conventional
-    };
-    logging_microbench_backend(backend, threads, total_entries, partitions)
-}
-
-/// Which log structure [`logging_microbench_backend`] exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogBackend {
-    /// Hierarchical coalesced logging (striped).
-    Hcl,
-    /// HCL's hierarchy without striping — the coalescing ablation.
-    HclUnstriped,
-    /// Conventional lock-protected partitions.
-    Conventional,
-}
-
-/// [`logging_microbench`] generalized over the three log structures,
-/// including the striping ablation of DESIGN.md.
-///
-/// # Errors
-///
-/// Propagates platform errors.
-pub fn logging_microbench_backend(
-    backend: LogBackend,
-    threads: u64,
-    total_entries: u64,
-    partitions: u32,
-) -> SimResult<Ns> {
     let mut m = Machine::default();
     let cfg = LaunchConfig::for_elements(threads, 256.min(threads as u32));
     let entry = [0x42u8; 32];
     let per_thread = total_entries.div_ceil(threads);
     let size = cfg.total_threads() * 32 * (per_thread + 1);
-    let log = match backend {
-        LogBackend::Hcl => gpmlog_create_hcl(&mut m, "/pm/ubench_log", size, cfg.grid, cfg.block),
-        LogBackend::HclUnstriped => {
-            gpmlog_create_hcl_unstriped(&mut m, "/pm/ubench_log", size, cfg.grid, cfg.block)
-        }
-        LogBackend::Conventional => gpmlog_create_conv(
+    let log = if hcl {
+        gpmlog_create_hcl(&mut m, "/pm/ubench_log", size, cfg.grid, cfg.block)
+    } else {
+        gpmlog_create_conv(
             &mut m,
             "/pm/ubench_log",
             size.max(total_entries * 64),
             partitions,
-        ),
+        )
     }
     .map_err(|_| gpm_sim::SimError::Invalid("log creation failed"))?;
     let dev = log.dev();
@@ -274,39 +240,38 @@ mod tests {
         );
     }
 
+    /// Logs `per_thread` 32-byte entries from each of `threads` threads
+    /// into a striped or unstriped HCL log, returning the elapsed time and
+    /// the PM block programs.
+    fn hcl_striping_run(striped: bool, threads: u64, per_thread: u64) -> (Ns, u64) {
+        let mut m = Machine::default();
+        let cfg = LaunchConfig::for_elements(threads, 256);
+        let size = threads * 32 * (per_thread + 1);
+        let create = if striped {
+            gpmlog_create_hcl
+        } else {
+            gpm_core::gpmlog_create_hcl_unstriped
+        };
+        let dev = create(&mut m, "/pm/e", size, cfg.grid, cfg.block)
+            .unwrap()
+            .dev();
+        gpm_persist_begin(&mut m);
+        let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
+            for _ in 0..per_thread {
+                dev.insert(ctx, &[0x42u8; 32])?;
+            }
+            Ok(())
+        });
+        let r = launch(&mut m, cfg, &k).unwrap();
+        (r.elapsed, m.stats.pm_block_programs)
+    }
+
     #[test]
     fn hcl_improves_nvm_endurance() {
         // §5.2: coalesced log writes also improve NVM endurance — fewer
         // 256-byte block programs for the same logged bytes.
-        let programs = |backend| {
-            let mut m = Machine::default();
-            // Inline variant of logging_microbench that keeps the machine.
-            let cfg = LaunchConfig::for_elements(4_096, 256);
-            let entry = [0x42u8; 32];
-            let log = match backend {
-                LogBackend::Hcl => {
-                    gpmlog_create_hcl(&mut m, "/pm/e", 4_096 * 32 * 4, cfg.grid, cfg.block)
-                }
-                LogBackend::HclUnstriped => gpmlog_create_hcl_unstriped(
-                    &mut m,
-                    "/pm/e",
-                    4_096 * 32 * 4,
-                    cfg.grid,
-                    cfg.block,
-                ),
-                LogBackend::Conventional => gpmlog_create_conv(&mut m, "/pm/e", 4_096 * 64 * 4, 64),
-            }
-            .unwrap();
-            let dev = log.dev();
-            gpm_persist_begin(&mut m);
-            let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| dev.insert(ctx, &entry));
-            let r = launch(&mut m, cfg, &k).unwrap();
-            let t: gpm_sim::Ns = r.elapsed;
-            let _ = t;
-            m.stats.pm_block_programs
-        };
-        let hcl = programs(LogBackend::Hcl);
-        let unstriped = programs(LogBackend::HclUnstriped);
+        let (_, hcl) = hcl_striping_run(true, 4_096, 1);
+        let (_, unstriped) = hcl_striping_run(false, 4_096, 1);
         assert!(
             hcl < unstriped,
             "striping coalesces programs: {hcl} vs {unstriped}"
@@ -318,9 +283,8 @@ mod tests {
         // The DESIGN.md ablation: HCL without striping keeps the lock-free
         // hierarchy but loses hardware coalescing — warp stores scatter
         // over 32 lines each.
-        let striped = logging_microbench_backend(LogBackend::Hcl, 8_192, 32_768, 64).unwrap();
-        let unstriped =
-            logging_microbench_backend(LogBackend::HclUnstriped, 8_192, 32_768, 64).unwrap();
+        let (striped, _) = hcl_striping_run(true, 8_192, 4);
+        let (unstriped, _) = hcl_striping_run(false, 8_192, 4);
         let s = unstriped / striped;
         assert!(s > 2.0, "striping should matter: {s:.2}x");
     }

@@ -4,7 +4,7 @@
 //! contracts under test are process-level: exit codes CI keys off, and
 //! byte-identical artifact files.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn temp_path(name: &str) -> PathBuf {
@@ -309,23 +309,42 @@ fn benchdiff_fails_on_two_x_slowdown_and_passes_identical() {
 
 /// `--help` prints the usage to stdout and exits 0; an unknown flag, a
 /// missing value or a malformed value prints a one-line reason plus the
-/// usage to stderr and exits 2 — never a panic.
+/// usage to stderr and exits 2 — never a panic, and never after starting
+/// the run: no `reports/` appears in the working directory.
 #[test]
 fn help_exits_zero_and_bad_input_exits_two() {
-    let bins: [(&str, &str, &str); 3] = [
-        ("serve", env!("CARGO_BIN_EXE_serve"), "--seed"),
-        ("campaign", env!("CARGO_BIN_EXE_campaign"), "--fuel"),
-        ("enginebench", env!("CARGO_BIN_EXE_enginebench"), "--reps"),
+    let bins: [(&str, Option<&str>); 6] = [
+        (env!("CARGO_BIN_EXE_serve"), Some("--seed")),
+        (env!("CARGO_BIN_EXE_campaign"), Some("--fuel")),
+        (env!("CARGO_BIN_EXE_enginebench"), Some("--reps")),
+        (env!("CARGO_BIN_EXE_gpmbench"), Some("--mode")),
+        (env!("CARGO_BIN_EXE_table5"), None),
+        (env!("CARGO_BIN_EXE_reproduce"), None),
     ];
-    for (name, exe, numeric_flag) in bins {
-        let help = Command::new(exe).arg("--help").output().expect("run bin");
+    for (exe, value_flag) in bins {
+        let name = Path::new(exe).file_stem().unwrap().to_str().unwrap();
+        let cwd = temp_path(&format!("cwd_{name}"));
+        let _ = std::fs::remove_dir_all(&cwd);
+        std::fs::create_dir_all(&cwd).expect("create temp cwd");
+        let run = |args: &[&str]| {
+            Command::new(exe)
+                .args(args)
+                .current_dir(&cwd)
+                .output()
+                .expect("run bin")
+        };
+
+        let help = run(&["--help"]);
         assert_eq!(help.status.code(), Some(0), "{name} --help");
         let stdout = String::from_utf8(help.stdout).unwrap();
         assert!(stdout.starts_with(&format!("usage: {name}")), "{stdout}");
 
-        let bad: [&[&str]; 3] = [&["--bogus"], &[numeric_flag], &[numeric_flag, "x"]];
+        let mut bad: Vec<Vec<&str>> = vec![vec!["--bogus"]];
+        if let Some(flag) = value_flag {
+            bad.extend([vec![flag], vec![flag, "x"]]);
+        }
         for args in bad {
-            let out = Command::new(exe).args(args).output().expect("run bin");
+            let out = run(&args);
             assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
             let stderr = String::from_utf8(out.stderr).unwrap();
             let mut lines = stderr.lines();
@@ -336,5 +355,9 @@ fn help_exits_zero_and_bad_input_exits_two() {
                 "{stderr}"
             );
         }
+        assert!(
+            !cwd.join("reports").exists(),
+            "{name} wrote reports/ before rejecting its command line"
+        );
     }
 }

@@ -433,7 +433,7 @@ fn fill_working_gauged(
 /// double buffering), then publishes. This is the CheckFreq-style
 /// fine-grained checkpointing the paper cites as motivation (§4.2) — a
 /// large win when updates between checkpoints are sparse (see
-/// `benches/checkpoint.rs`).
+/// `examples/extensions.rs`).
 ///
 /// `dirty[i]` covers bytes `[i·chunk_bytes, (i+1)·chunk_bytes)` of the
 /// group's registered data, concatenated in registration order. After

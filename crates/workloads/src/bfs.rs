@@ -562,13 +562,6 @@ impl BfsWorkload {
             q.extend_from_slice(&f.to_le_bytes());
         }
         machine.host_write(Addr::hbm(st.queue_a), &q)?;
-        #[cfg(feature = "bfs-debug")]
-        eprintln!(
-            "resume: level={} frontier={} seq_len={}",
-            level,
-            frontier.len(),
-            seq_len
-        );
         let resume_setup = machine.clock.now() - t0;
 
         let mut metrics = metered(machine, |m| {

@@ -3,7 +3,8 @@
 //! flows, and property tests over sizes and cadences.
 
 use gpm_core::{gpmcp_checkpoint, gpmcp_create, gpmcp_open, gpmcp_register, gpmcp_restore};
-use gpm_sim::{Addr, Machine};
+use gpm_integration::{range, CASES};
+use gpm_sim::{Addr, Machine, MachineConfig};
 
 fn fill(machine: &mut Machine, hbm: u64, len: u64, tag: u8) {
     let data: Vec<u8> = (0..len)
@@ -84,59 +85,62 @@ fn groups_restore_independently() {
     assert!(check(&m, b, 4_096, 6));
 }
 
-/// Property tests over sizes and cadences. Compiled only with
-/// `--features slow-tests` (needs the `proptest` dev-dependency, hence
-/// network access); the deterministic tests above always run.
-#[cfg(feature = "slow-tests")]
-mod props {
-    use proptest::prelude::*;
+/// Any size, any number of checkpointed epochs: restoring always yields
+/// the last checkpointed epoch, even after a crash.
+#[test]
+fn checkpoint_roundtrip_any_size() {
+    gpm_integration::check(
+        "checkpoint_roundtrip_any_size",
+        CASES,
+        0,
+        |rng, _| {
+            (
+                range(rng, 64, 40_000),
+                range(rng, 1, 6) as u8,
+                rng.next_u64(),
+            )
+        },
+        |&(len, epochs, seed)| {
+            let mut m = Machine::new(MachineConfig::default().with_seed(seed));
+            let hbm = m.alloc_hbm(len).unwrap();
+            let mut cp = gpmcp_create(&mut m, "/pm/cpp", len, 1, 1).unwrap();
+            gpmcp_register(&mut cp, Addr::hbm(hbm), len, 0).unwrap();
+            let mut last_tag = 0;
+            for e in 1..=epochs {
+                fill(&mut m, hbm, len, e);
+                gpmcp_checkpoint(&mut m, &cp, 0).unwrap();
+                last_tag = e;
+            }
+            m.crash();
+            gpmcp_restore(&mut m, &cp, 0).unwrap();
+            assert!(check(&m, hbm, len, last_tag));
+            Ok(())
+        },
+    );
+}
 
-    use gpm_core::{gpmcp_checkpoint, gpmcp_create, gpmcp_register, gpmcp_restore};
-    use gpm_sim::{Addr, Machine, MachineConfig};
-
-    use super::{check, fill};
-
-    proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Any size, any number of checkpointed epochs: restoring always yields
-    /// the last checkpointed epoch, even after a crash.
-    #[test]
-    fn checkpoint_roundtrip_any_size(
-        len in 64u64..40_000,
-        epochs in 1u8..6,
-        seed in any::<u64>(),
-    ) {
-        let mut m = Machine::new(MachineConfig::default().with_seed(seed));
-        let hbm = m.alloc_hbm(len).unwrap();
-        let mut cp = gpmcp_create(&mut m, "/pm/cpp", len, 1, 1).unwrap();
-        gpmcp_register(&mut cp, Addr::hbm(hbm), len, 0).unwrap();
-        let mut last_tag = 0;
-        for e in 1..=epochs {
-            fill(&mut m, hbm, len, e);
-            gpmcp_checkpoint(&mut m, &cp, 0).unwrap();
-            last_tag = e;
-        }
-        m.crash();
-        gpmcp_restore(&mut m, &cp, 0).unwrap();
-        prop_assert!(check(&m, hbm, len, last_tag));
-    }
-
-    /// The consistent-buffer flag alternates and the sequence number counts
-    /// checkpoints exactly.
-    #[test]
-    fn flags_track_checkpoints(epochs in 1u8..8) {
-        let mut m = Machine::default();
-        let hbm = m.alloc_hbm(512).unwrap();
-        let mut cp = gpmcp_create(&mut m, "/pm/cpf", 512, 1, 1).unwrap();
-        gpmcp_register(&mut cp, Addr::hbm(hbm), 512, 0).unwrap();
-        for e in 1..=epochs {
-            fill(&mut m, hbm, 512, e);
-            gpmcp_checkpoint(&mut m, &cp, 0).unwrap();
-            let (which, seq) = cp.consistent(&m, 0).unwrap();
-            prop_assert_eq!(seq, e as u32);
-            prop_assert_eq!(which, (e as u32) % 2, "buffers alternate");
-        }
-    }
-    }
+/// The consistent-buffer flag alternates and the sequence number counts
+/// checkpoints exactly.
+#[test]
+fn flags_track_checkpoints() {
+    gpm_integration::check(
+        "flags_track_checkpoints",
+        CASES,
+        0,
+        |rng, _| range(rng, 1, 8) as u8,
+        |&epochs| {
+            let mut m = Machine::default();
+            let hbm = m.alloc_hbm(512).unwrap();
+            let mut cp = gpmcp_create(&mut m, "/pm/cpf", 512, 1, 1).unwrap();
+            gpmcp_register(&mut cp, Addr::hbm(hbm), 512, 0).unwrap();
+            for e in 1..=epochs {
+                fill(&mut m, hbm, 512, e);
+                gpmcp_checkpoint(&mut m, &cp, 0).unwrap();
+                let (which, seq) = cp.consistent(&m, 0).unwrap();
+                assert_eq!(seq, e as u32);
+                assert_eq!(which, (e as u32) % 2, "buffers alternate");
+            }
+            Ok(())
+        },
+    );
 }

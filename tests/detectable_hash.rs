@@ -4,13 +4,11 @@
 //! a host-side `BTreeMap` replay. The slot version doubles as an apply
 //! counter, so the diff catches both lost ops (applied zero times) and
 //! double applies — the exactly-once contract of `gpm_core::detect`.
-//!
-//! The deterministic section below always runs; the property section
-//! needs `--features slow-tests` (proptest is not a baked-in dependency).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use gpm_gpu::{FuelGauge, LaunchError};
+use gpm_integration::{check, len, range, Rng, CASES};
 use gpm_sim::{CrashPolicy, Machine, PersistencyModel};
 use gpm_workloads::{KvsOp, KvsParams, KvsWorkload, Mode, ShardModel};
 
@@ -194,52 +192,54 @@ fn deterministic_script_is_in_contract() {
     assert!(!model.evicted, "script must stay eviction-free");
 }
 
-/// Property section: random op sequences, random crash points, all four
-/// settle-policy families, both persistency models.
-#[cfg(feature = "slow-tests")]
-mod props {
-    use proptest::prelude::*;
+/// Whatever the op mix, crash point, settle policy and persistency
+/// model, crash + double retry-recovery + resubmission converges to
+/// exactly the `BTreeMap` replay, with every op applied exactly once.
+#[test]
+fn detectable_shard_matches_btreemap_model() {
+    check(
+        "detectable_shard_matches_btreemap_model",
+        CASES,
+        31,
+        |rng, size| {
+            let batches: Vec<Vec<KvsOp>> = (0..len(rng, 1, size.min(3)))
+                .map(|_| batch(rng, size))
+                .collect();
+            let fuel = range(rng, 0, 30_000);
+            let policy = match rng.gen_range_u64(4) {
+                0 => CrashPolicy::AllApplied,
+                1 => CrashPolicy::NoneApplied,
+                2 => CrashPolicy::GrayCode(range(rng, 1, 8)),
+                _ => CrashPolicy::Random(rng.next_u64()),
+            };
+            let persistency = if rng.gen_bool(0.5) {
+                PersistencyModel::Epoch
+            } else {
+                PersistencyModel::Strict
+            };
+            (batches, fuel, policy, persistency)
+        },
+        |(batches, fuel, policy, persistency)| {
+            run_differential(batches, *fuel, *policy, *persistency)
+        },
+    );
+}
 
-    use gpm_sim::{CrashPolicy, PersistencyModel};
-    use gpm_workloads::KvsOp;
-
-    use super::run_differential;
-
-    fn op_strategy() -> impl Strategy<Value = KvsOp> {
-        (1u64..4_096, any::<u64>(), prop::bool::weighted(0.25))
-            .prop_map(|(key, val, is_get)| (key, val, is_get))
-    }
-
-    fn policy_strategy() -> impl Strategy<Value = CrashPolicy> {
-        prop_oneof![
-            Just(CrashPolicy::AllApplied),
-            Just(CrashPolicy::NoneApplied),
-            (1u64..8).prop_map(CrashPolicy::GrayCode),
-            any::<u64>().prop_map(CrashPolicy::Random),
-        ]
-    }
-
-    proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Whatever the op mix, crash point, settle policy and persistency
-    /// model, crash + double retry-recovery + resubmission converges to
-    /// exactly the `BTreeMap` replay, with every op applied exactly once.
-    #[test]
-    fn detectable_shard_matches_btreemap_model(
-        batches in prop::collection::vec(prop::collection::vec(op_strategy(), 1..32), 1..4),
-        fuel in 0u64..30_000,
-        policy in policy_strategy(),
-        epoch in any::<bool>(),
-    ) {
-        let persistency = if epoch {
-            PersistencyModel::Epoch
-        } else {
-            PersistencyModel::Strict
-        };
-        if let Err(e) = run_differential(&batches, fuel, policy, persistency) {
-            prop_assert!(false, "{e}");
-        }
-    }
-    }
+/// One batch of ops whose SET keys are distinct and non-zero, so every
+/// drawn sequence is inside the exactly-once contract and
+/// `run_differential` skips none.
+fn batch(rng: &mut Rng, size: usize) -> Vec<KvsOp> {
+    let mut set_keys = BTreeSet::new();
+    (0..len(rng, 1, size))
+        .map(|_| {
+            let is_get = rng.gen_bool(0.25);
+            let key = loop {
+                let key = range(rng, 1, 4_096);
+                if is_get || set_keys.insert(key) {
+                    break key;
+                }
+            };
+            (key, rng.next_u64(), is_get)
+        })
+        .collect()
 }

@@ -3,6 +3,7 @@
 
 use gpm_core::{gpm_persist_begin, gpmlog_create_hcl, gpmlog_open};
 use gpm_gpu::{launch, launch_with_fuel, FnKernel, LaunchConfig, LaunchError, ThreadCtx};
+use gpm_integration::{check, range, CASES};
 use gpm_sim::{Machine, MachineConfig};
 
 /// The HCL invariant: after any crash, each thread's tail is a multiple of
@@ -90,27 +91,26 @@ fn hcl_atomicity_across_entry_sizes() {
     }
 }
 
-/// Property tests over arbitrary crash points. Compiled only with
-/// `--features slow-tests` (needs the `proptest` dev-dependency, hence
-/// network access); the deterministic crash sweeps above always run.
-#[cfg(feature = "slow-tests")]
-mod props {
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Arbitrary fuel and entry size: the tail-sentinel invariant always
-        /// holds.
-        #[test]
-        fn hcl_invariant_holds_for_arbitrary_crashes(
-            fuel in 1u64..30_000,
-            entry_words in 1usize..20,
-            seed in any::<u64>(),
-        ) {
-            super::crash_and_check(fuel, entry_words * 4, 32, seed);
-        }
-    }
+/// Arbitrary fuel and entry size: the tail-sentinel invariant always
+/// holds.
+#[test]
+fn hcl_invariant_holds_for_arbitrary_crashes() {
+    check(
+        "hcl_invariant_holds_for_arbitrary_crashes",
+        CASES,
+        0,
+        |rng, _| {
+            (
+                range(rng, 1, 30_000),
+                range(rng, 1, 20) as usize,
+                rng.next_u64(),
+            )
+        },
+        |&(fuel, entry_words, seed)| {
+            crash_and_check(fuel, entry_words * 4, 32, seed);
+            Ok(())
+        },
+    );
 }
 
 #[test]

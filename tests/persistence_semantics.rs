@@ -6,10 +6,11 @@ use std::collections::HashMap;
 
 use gpm_core::{gpm_persist_begin, gpm_persist_end, GpmThreadExt};
 use gpm_gpu::{launch, FnKernel, LaunchConfig, ThreadCtx};
-use gpm_sim::{Addr, Machine};
+use gpm_integration::{check, len, Rng, CASES};
+use gpm_sim::{Addr, Machine, MachineConfig, PersistMode};
 
-/// One scripted step of a GPU thread. Shared by the always-run promoted
-/// regressions and the `slow-tests` property section.
+/// One scripted step of a GPU thread. Shared by the promoted regressions
+/// and the properties.
 #[derive(Debug, Clone)]
 enum Step {
     /// Write `value` at slot `slot`.
@@ -87,46 +88,45 @@ fn check_crash_admissibility(steps: &[Step]) -> Result<(), String> {
     Ok(())
 }
 
-/// Property tests over arbitrary write/persist interleavings. Compiled only
-/// with `--features slow-tests` (needs the `proptest` dev-dependency, hence
-/// network access); the deterministic checks below always run.
-#[cfg(feature = "slow-tests")]
-mod props {
-    use proptest::prelude::*;
-
-    use gpm_core::GpmThreadExt;
-    use gpm_gpu::{launch, FnKernel, LaunchConfig, ThreadCtx};
-    use gpm_sim::{Addr, Machine, MachineConfig, PersistMode};
-
-    use super::{check_crash_admissibility, Step};
-
-    fn step_strategy() -> impl Strategy<Value = Step> {
-        prop_oneof![
-            3 => (any::<u8>(), any::<u64>()).prop_map(|(slot, value)| Step::Write { slot, value }),
-            1 => Just(Step::Persist),
-        ]
-    }
-
-    proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// After a crash, each slot holds an *admissible* value: its last
-    /// persisted value, or a later (possibly-evicted) unpersisted write —
-    /// never anything else. In particular, a persisted slot with no later
-    /// writes must read back exactly.
-    #[test]
-    fn persisted_writes_survive_any_crash(steps in prop::collection::vec(step_strategy(), 1..40)) {
-        if let Err(e) = check_crash_admissibility(&steps) {
-            prop_assert!(false, "{e}");
+/// A write to a random slot three times in four, else a persist.
+fn step(rng: &mut Rng) -> Step {
+    if rng.gen_range_u64(4) < 3 {
+        Step::Write {
+            slot: rng.next_u64() as u8,
+            value: rng.next_u64(),
         }
+    } else {
+        Step::Persist
     }
+}
 
-    /// Under eADR, *visibility is durability*: every write survives even
-    /// without a single fence.
-    #[test]
-    fn eadr_makes_all_writes_durable(steps in prop::collection::vec(step_strategy(), 1..40)) {
+/// A script of 1 to `size` steps.
+fn steps(rng: &mut Rng, size: usize) -> Vec<Step> {
+    (0..len(rng, 1, size)).map(|_| step(rng)).collect()
+}
+
+/// After a crash, each slot holds an *admissible* value: its last
+/// persisted value, or a later (possibly-evicted) unpersisted write —
+/// never anything else. In particular, a persisted slot with no later
+/// writes must read back exactly.
+#[test]
+fn persisted_writes_survive_any_crash() {
+    check(
+        "persisted_writes_survive_any_crash",
+        CASES,
+        39,
+        steps,
+        |steps| check_crash_admissibility(steps),
+    );
+}
+
+/// Under eADR, *visibility is durability*: every write survives even
+/// without a single fence.
+#[test]
+fn eadr_makes_all_writes_durable() {
+    check("eadr_makes_all_writes_durable", CASES, 39, steps, |steps| {
         let mut m = Machine::new(MachineConfig::default().with_eadr());
-        prop_assert_eq!(m.cfg.persist_mode, PersistMode::Eadr);
+        assert_eq!(m.cfg.persist_mode, PersistMode::Eadr);
         let base = m.alloc_pm(256 * 64).unwrap();
         let script = steps.clone();
         let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
@@ -144,44 +144,57 @@ mod props {
         m.crash();
 
         // The last write to each slot must have survived.
-        let mut last = std::collections::HashMap::new();
-        for s in &steps {
+        let mut last = HashMap::new();
+        for s in steps {
             if let Step::Write { slot, value } = s {
                 last.insert(*slot, *value);
             }
         }
         for (slot, value) in last {
             let got = m.read_u64(Addr::pm(base + slot as u64 * 64)).unwrap();
-            prop_assert_eq!(got, value);
+            assert_eq!(got, value);
         }
-    }
+        Ok(())
+    });
+}
 
-    /// With DDIO enabled (no persistence window), a crash may lose any
-    /// subset of lines — but reads before the crash always see the newest
-    /// data (visibility is never violated).
-    #[test]
-    fn visibility_holds_before_crash(values in prop::collection::vec(any::<u64>(), 1..32)) {
-        let mut m = Machine::default();
-        let base = m.alloc_pm(values.len() as u64 * 64).unwrap();
-        let vals = values.clone();
-        let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
-            if ctx.global_id() != 0 {
-                return Ok(());
-            }
-            for (i, v) in vals.iter().enumerate() {
-                ctx.st_u64(Addr::pm(base + i as u64 * 64), *v)?;
-                // Read-your-write through the coherent LLC.
-                let got = ctx.ld_u64(Addr::pm(base + i as u64 * 64))?;
-                assert_eq!(got, *v);
+/// With DDIO enabled (no persistence window), a crash may lose any
+/// subset of lines — but reads before the crash always see the newest
+/// data (visibility is never violated).
+#[test]
+fn visibility_holds_before_crash() {
+    check(
+        "visibility_holds_before_crash",
+        CASES,
+        31,
+        |rng, size| {
+            (0..len(rng, 1, size))
+                .map(|_| rng.next_u64())
+                .collect::<Vec<_>>()
+        },
+        |values| {
+            let mut m = Machine::default();
+            let base = m.alloc_pm(values.len() as u64 * 64).unwrap();
+            let vals = values.clone();
+            let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
+                if ctx.global_id() != 0 {
+                    return Ok(());
+                }
+                for (i, v) in vals.iter().enumerate() {
+                    ctx.st_u64(Addr::pm(base + i as u64 * 64), *v)?;
+                    // Read-your-write through the coherent LLC.
+                    let got = ctx.ld_u64(Addr::pm(base + i as u64 * 64))?;
+                    assert_eq!(got, *v);
+                }
+                Ok(())
+            });
+            launch(&mut m, LaunchConfig::new(1, 32), &k).unwrap();
+            for (i, v) in values.iter().enumerate() {
+                assert_eq!(m.read_u64(Addr::pm(base + i as u64 * 64)).unwrap(), *v);
             }
             Ok(())
-        });
-        launch(&mut m, LaunchConfig::new(1, 32), &k).unwrap();
-        for (i, v) in values.iter().enumerate() {
-            prop_assert_eq!(m.read_u64(Addr::pm(base + i as u64 * 64)).unwrap(), *v);
-        }
-    }
-    }
+        },
+    );
 }
 
 /// Deterministic (non-property) checks of the DDIO rules.
@@ -217,11 +230,9 @@ fn w(slot: u8, value: u64) -> Step {
     Step::Write { slot, value }
 }
 
-/// Promoted proptest regression (was `cc 4972cae7…` in
-/// `persistence_semantics.proptest-regressions`): a long interleaving with
-/// several persist groups and a slot (96) written in two different groups.
-/// Replayed verbatim on every build — the regressions file only re-runs
-/// under `--features slow-tests`, which CI exercises rarely.
+/// Promoted regression of `persisted_writes_survive_any_crash` (recorded
+/// counterexample `cc 4972cae7…`): a long interleaving with several persist
+/// groups and a slot (96) written in two different groups.
 #[test]
 fn promoted_regression_slot_rewritten_across_persist_groups() {
     let steps = [
@@ -263,7 +274,7 @@ fn promoted_regression_slot_rewritten_across_persist_groups() {
     check_crash_admissibility(&steps).unwrap();
 }
 
-/// Promoted proptest regression (was `cc b5181969…`): back-to-back persists
+/// Promoted regression (recorded counterexample `cc b5181969…`): back-to-back persists
 /// with nothing staged between them, then a slot (81) re-written after its
 /// persist — the crash must leave either the persisted or the newer value.
 #[test]

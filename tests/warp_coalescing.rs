@@ -1,15 +1,10 @@
 //! Property test: the engine's warp coalescer agrees with a naive
 //! per-GPU-line model, and the vectorized lockstep path agrees with the
 //! per-lane walk, over random lockstep store patterns.
-//!
-//! Compiled only with `--features slow-tests`, which requires the `proptest`
-//! dev-dependency (re-add it with network access; see the workspace
-//! manifest). The nightly CI job does exactly that.
-#![cfg(feature = "slow-tests")]
 
 use gpm_gpu::{launch, Kernel, LaunchConfig, ThreadCtx, WarpCtx, WARP_SIZE};
+use gpm_integration::{check, range, CASES};
 use gpm_sim::{Addr, Machine, SimResult};
-use proptest::prelude::*;
 
 /// GPU cache-line (coalescing) granularity in bytes, mirrored from the
 /// simulator's constant.
@@ -117,37 +112,56 @@ fn naive_txns(grid: u32, block: u32, pm: u64, stride: u64, rounds: u64) -> u64 {
     txns
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Random stride/shape lockstep stores: the vectorized and per-lane
+/// engines report identical costs and simulated time, and both match
+/// the naive per-line transaction count and per-lane byte count.
+#[test]
+fn coalesced_counts_match_naive_per_lane_model() {
+    check(
+        "coalesced_counts_match_naive_per_lane_model",
+        CASES,
+        0,
+        |rng, _| {
+            (
+                range(rng, 1, 21),
+                range(rng, 1, 5),
+                range(rng, 1, 4) as u32,
+                range(rng, 1, 97) as u32,
+                rng.gen_bool(0.5),
+            )
+        },
+        |&(stride_words, rounds, grid, block, fence)| {
+            let stride = stride_words * 8;
+            let threads = grid as u64 * block as u64;
+            let pm_bytes = threads * stride + rounds * 8 + GPU_LINE;
+            let probe = Machine::default().alloc_pm(pm_bytes).unwrap();
+            let cfg = LaunchConfig::new(grid, block);
 
-    /// Random stride/shape lockstep stores: the vectorized and per-lane
-    /// engines report identical costs and simulated time, and both match
-    /// the naive per-line transaction count and per-lane byte count.
-    #[test]
-    fn coalesced_counts_match_naive_per_lane_model(
-        stride_words in 1u64..=20,
-        rounds in 1u64..=4,
-        grid in 1u32..=3,
-        block in 1u32..=96,
-        fence in any::<bool>(),
-    ) {
-        let stride = stride_words * 8;
-        let threads = grid as u64 * block as u64;
-        let pm_bytes = threads * stride + rounds * 8 + GPU_LINE;
-        let probe = Machine::default().alloc_pm(pm_bytes).unwrap();
-        let cfg = LaunchConfig::new(grid, block);
+            let mk = |vectorize| LockstepStore {
+                pm: probe,
+                stride,
+                rounds,
+                fence,
+                vectorize,
+            };
+            let (lane_costs, lane_bits) = run_twin(pm_bytes, cfg, &mk(false));
+            let (vec_costs, vec_bits) = run_twin(pm_bytes, cfg, &mk(true));
 
-        let mk = |vectorize| LockstepStore { pm: probe, stride, rounds, fence, vectorize };
-        let (lane_costs, lane_bits) = run_twin(pm_bytes, cfg, &mk(false));
-        let (vec_costs, vec_bits) = run_twin(pm_bytes, cfg, &mk(true));
-
-        prop_assert_eq!(&vec_costs, &lane_costs, "vectorized costs diverge from per-lane walk");
-        prop_assert_eq!(vec_bits, lane_bits, "simulated elapsed time must be bit-identical");
-        prop_assert_eq!(
-            vec_costs.pcie_write_txns,
-            naive_txns(grid, block, probe, stride, rounds),
-            "coalesced transaction count diverges from the naive per-line model"
-        );
-        prop_assert_eq!(vec_costs.pm_write_bytes, threads * rounds * 8);
-    }
+            assert_eq!(
+                vec_costs, lane_costs,
+                "vectorized costs diverge from per-lane walk"
+            );
+            assert_eq!(
+                vec_bits, lane_bits,
+                "simulated elapsed time must be bit-identical"
+            );
+            assert_eq!(
+                vec_costs.pcie_write_txns,
+                naive_txns(grid, block, probe, stride, rounds),
+                "coalesced transaction count diverges from the naive per-line model"
+            );
+            assert_eq!(vec_costs.pm_write_bytes, threads * rounds * 8);
+            Ok(())
+        },
+    );
 }
