@@ -2,7 +2,7 @@
 CARGO ?= cargo
 RUN := $(CARGO) run --release -p gpm-bench --bin
 
-.PHONY: all test bench-json campaign campaign-quick serve serve-quick \
+.PHONY: all test campaign campaign-quick serve serve-quick \
         serve-scenarios analytics analytics-quick \
         figure_1 figure_3 figure_9 \
         figure_10 figure_11a figure_11b figure_12 table_4 table_5 checkpoint_frequency \
@@ -13,10 +13,6 @@ all: figure_1 figure_3 figure_9 figure_10 figure_11a figure_11b figure_12 table_
 
 test:
 	$(CARGO) test --workspace
-
-# Dependency-free engine perf-regression harness; writes BENCH_engine.json.
-bench-json:
-	$(RUN) enginebench
 
 # Crash-consistency campaign across all GPMbench workloads; writes
 # BENCH_campaign.json. `campaign-quick` bounds the crash points per workload.

@@ -33,11 +33,6 @@
 //!   `gpm-trace-v1`) of the traced runs: in repro mode the single case,
 //!   otherwise each workload's schedule-recording run
 //! - `--help`              print the usage and exit
-//!
-//! The campaign always runs under strict persistency (it pins the process
-//! default, so `GPM_PERSISTENCY=epoch` is ignored with a note): the oracles
-//! encode the strict durability contract that the epoch model deliberately
-//! relaxes.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -234,22 +229,6 @@ fn to_json(
 }
 
 fn main() {
-    // The recovery oracles verify the strict durability contract; the epoch
-    // model deliberately weakens it (fence drains defer to kernel
-    // boundaries), so every epoch campaign "failure" would be the model
-    // working as designed, not a recovery bug. Pin Strict before the first
-    // launch resolves `GPM_PERSISTENCY` so the env knob can't silently
-    // invalidate the verdicts.
-    if gpm_gpu::pin_default_persistency(gpm_gpu::PersistencyModel::Strict)
-        && std::env::var("GPM_PERSISTENCY")
-            .map(|s| s.trim().eq_ignore_ascii_case("epoch"))
-            .unwrap_or(false)
-    {
-        println!(
-            "note: GPM_PERSISTENCY=epoch ignored — campaign oracles verify the strict contract"
-        );
-    }
-
     let opts = parse_args();
     let scale = if opts.quick {
         Scale::Quick

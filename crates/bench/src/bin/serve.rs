@@ -13,8 +13,8 @@
 //! - `--out PATH`    JSON output path (default `BENCH_serve.json`)
 //! - `--trace PATH`  also run one traced cluster and write a Chrome
 //!   trace-event JSON (schema `gpm-trace-v1`, loadable in Perfetto)
-//! - `--persistency strict|epoch`  pin the GPU persistency model on every
-//!   shard (default: defer to `GPM_PERSISTENCY`, then strict)
+//! - `--persistency strict|epoch`  GPU persistency model on every shard
+//!   (default strict)
 //! - `--list-scenarios`  print the scenario registry, one per line
 //! - `--scenario NAME`   run exactly one named scenario and write a
 //!   single-scenario JSON to `--out`; an unknown name exits 2
@@ -40,7 +40,7 @@ struct Opts {
     slo_us: f64,
     out: String,
     trace: Option<String>,
-    persistency: Option<PersistencyModel>,
+    persistency: PersistencyModel,
     scenario: Option<String>,
     list_scenarios: bool,
     inject_bug: bool,
@@ -59,7 +59,7 @@ fn parse_args() -> Opts {
         slo_us: 500.0,
         out: "BENCH_serve.json".to_string(),
         trace: None,
-        persistency: None,
+        persistency: PersistencyModel::Strict,
         scenario: None,
         list_scenarios: false,
         inject_bug: false,
@@ -74,13 +74,13 @@ fn parse_args() -> Opts {
             "--out" => opts.out = USAGE.value(&mut args, "--out"),
             "--trace" => opts.trace = Some(USAGE.value(&mut args, "--trace")),
             "--persistency" => {
-                opts.persistency = Some(match USAGE.value(&mut args, "--persistency").as_str() {
+                opts.persistency = match USAGE.value(&mut args, "--persistency").as_str() {
                     "strict" => PersistencyModel::Strict,
                     "epoch" => PersistencyModel::Epoch,
                     other => USAGE.fail(format!(
                         "--persistency must be strict or epoch, got {other:?}"
                     )),
-                });
+                };
             }
             "--scenario" => opts.scenario = Some(USAGE.value(&mut args, "--scenario")),
             "--list-scenarios" => opts.list_scenarios = true,
@@ -247,10 +247,9 @@ fn main() {
         run_one_scenario(&opts);
     }
     let slo = Ns(opts.slo_us * 1_000.0);
-    // Every cluster in the sweep inherits the pinned persistency model (if
-    // any); `None` lets each launch resolve `GPM_PERSISTENCY`, then strict.
+    // Every cluster in the sweep inherits the persistency model.
     let base = ClusterConfig {
-        persistency: opts.persistency,
+        persistency: Some(opts.persistency),
         ..ClusterConfig::quick()
     };
     let (loads, shard_counts, n_requests): (Vec<f64>, Vec<u32>, u64) = if opts.quick {
@@ -489,9 +488,8 @@ fn main() {
         json,
         "  \"persistency\": \"{}\",",
         match opts.persistency {
-            Some(PersistencyModel::Strict) => "strict",
-            Some(PersistencyModel::Epoch) => "epoch",
-            None => "env",
+            PersistencyModel::Strict => "strict",
+            PersistencyModel::Epoch => "epoch",
         }
     );
     let _ = writeln!(json, "  \"slo_us\": {:.3},", opts.slo_us);

@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod benchdiff;
 pub mod cli;
 pub mod figures;
 pub mod microbench;

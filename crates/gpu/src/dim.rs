@@ -25,13 +25,11 @@ pub struct LaunchConfig {
     pub grid: u32,
     /// Threads per threadblock.
     pub block: u32,
-    /// GPU persistency model for this launch (see
-    /// [`PersistencyModel`]). `None` defers to the `GPM_PERSISTENCY`
-    /// environment variable (`strict` / `epoch`), then to
-    /// [`PersistencyModel::Strict`]. A *simulated-semantics* knob: epoch
-    /// launches defer fence drains to the kernel boundary, changing both
-    /// timing and crash vulnerability windows.
-    pub persistency: Option<PersistencyModel>,
+    /// GPU persistency model for this launch (see [`PersistencyModel`]);
+    /// [`PersistencyModel::Strict`] unless pinned. A *simulated-semantics*
+    /// setting: epoch launches defer fence drains to the kernel boundary,
+    /// changing both timing and crash vulnerability windows.
+    pub persistency: PersistencyModel,
 }
 
 impl LaunchConfig {
@@ -48,15 +46,14 @@ impl LaunchConfig {
         LaunchConfig {
             grid,
             block,
-            persistency: None,
+            persistency: PersistencyModel::Strict,
         }
     }
 
-    /// Pins the persistency model for this launch (overriding the
-    /// `GPM_PERSISTENCY` environment variable).
+    /// Pins the persistency model for this launch.
     #[must_use]
     pub fn with_persistency(mut self, model: PersistencyModel) -> LaunchConfig {
-        self.persistency = Some(model);
+        self.persistency = model;
         self
     }
 

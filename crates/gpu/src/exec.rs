@@ -50,7 +50,6 @@
 //! unaffected.
 
 use std::fmt;
-use std::sync::OnceLock;
 
 use gpm_sim::pattern::PatternTracker;
 use gpm_sim::{
@@ -1256,36 +1255,10 @@ pub fn resolved_engine_threads(_cfg: &LaunchConfig) -> u32 {
     1
 }
 
-/// Process-wide default persistency model: `GPM_PERSISTENCY=epoch` (case-
-/// insensitive) selects [`PersistencyModel::Epoch`]; anything else — or the
-/// variable unset — is [`PersistencyModel::Strict`]. Cached on first read.
-static ENV_MODEL: OnceLock<PersistencyModel> = OnceLock::new();
-
-fn env_persistency() -> PersistencyModel {
-    *ENV_MODEL.get_or_init(|| match std::env::var("GPM_PERSISTENCY") {
-        Ok(s) if s.trim().eq_ignore_ascii_case("epoch") => PersistencyModel::Epoch,
-        _ => PersistencyModel::Strict,
-    })
-}
-
-/// Pin the process-wide default persistency model before the first launch
-/// resolves `GPM_PERSISTENCY`. Returns `false` (and changes nothing) when the
-/// default has already been resolved or pinned. Per-launch
-/// [`LaunchConfig::persistency`] overrides still apply. The crash-consistency
-/// campaign uses this: its recovery oracles verify the strict durability
-/// contract, which the epoch model deliberately weakens, so the campaign pins
-/// [`PersistencyModel::Strict`] instead of letting the env knob silently
-/// invalidate its verdicts.
-pub fn pin_default_persistency(model: PersistencyModel) -> bool {
-    ENV_MODEL.set(model).is_ok()
-}
-
-/// The persistency model a launch with `cfg` would run under, after applying
-/// the [`LaunchConfig::persistency`] override and the `GPM_PERSISTENCY`
-/// environment variable. Exposed for harnesses that record the engine
-/// configuration alongside results.
+/// The persistency model a launch with `cfg` runs under. Exposed for
+/// harnesses that record the engine configuration alongside results.
 pub fn resolved_persistency(cfg: &LaunchConfig) -> PersistencyModel {
-    cfg.persistency.unwrap_or_else(env_persistency)
+    cfg.persistency
 }
 
 fn launch_inner<K: Kernel>(
@@ -1306,7 +1279,7 @@ fn launch_inner<K: Kernel>(
     // The model is machine state for the duration of the launch: fences
     // consult it ([`Machine::gpu_system_fence`]), and the engine reads it
     // back for the timing model.
-    let model = resolved_persistency(&cfg);
+    let model = cfg.persistency;
     machine.set_persistency(model);
     let report = match launch_sequential(machine, cfg, kernel, gauge) {
         Ok(report) => report,

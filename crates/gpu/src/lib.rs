@@ -52,8 +52,8 @@ pub mod timing;
 pub use buffer::{Buf, Scalar};
 pub use dim::{Grid2, LaunchConfig, ThreadId, WARP_SIZE};
 pub use exec::{
-    launch, launch_with_fuel, launch_with_gauge, pin_default_persistency, resolved_engine_threads,
-    resolved_persistency, FuelGauge, KernelReport, LaunchError, ThreadCtx, WarpCtx,
+    launch, launch_with_fuel, launch_with_gauge, resolved_engine_threads, resolved_persistency,
+    FuelGauge, KernelReport, LaunchError, ThreadCtx, WarpCtx,
 };
 pub use gpm_sim::PersistencyModel;
 pub use kernel::{FnKernel, Kernel};

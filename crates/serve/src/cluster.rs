@@ -57,9 +57,8 @@ pub struct ClusterConfig {
     /// the shard's `TraceData`.
     pub trace_events: Option<usize>,
     /// GPU persistency model every shard's kernels run under. `Some(model)`
-    /// overrides both backends' params; `None` defers to whatever the
-    /// backend params (and ultimately `GPM_PERSISTENCY`, then strict)
-    /// resolve, mirroring [`gpm_gpu::LaunchConfig::persistency`].
+    /// overrides every backend's params; `None` keeps each backend's own
+    /// `persistency` (strict by default).
     pub persistency: Option<gpm_gpu::PersistencyModel>,
 }
 
@@ -162,7 +161,7 @@ pub fn run_cluster(cfg: &ClusterConfig, requests: &[Request]) -> SimResult<Clust
             BackendKind::Kvs => {
                 let params = KvsParams {
                     ops_per_batch: cfg.policy.max_batch,
-                    persistency: cfg.persistency.or(cfg.kvs.persistency),
+                    persistency: cfg.persistency.unwrap_or(cfg.kvs.persistency),
                     ..cfg.kvs
                 };
                 Shard::new_kvs(params, cfg.mode)?
@@ -180,7 +179,7 @@ pub fn run_cluster(cfg: &ClusterConfig, requests: &[Request]) -> SimResult<Clust
                 let params = DbParams {
                     op: DbOp::Insert,
                     capacity_rows: cfg.db.initial_rows + routed,
-                    persistency: cfg.persistency.or(cfg.db.persistency),
+                    persistency: cfg.persistency.unwrap_or(cfg.db.persistency),
                     ..cfg.db
                 };
                 Shard::new_db(params, cfg.mode)?
@@ -198,7 +197,7 @@ pub fn run_cluster(cfg: &ClusterConfig, requests: &[Request]) -> SimResult<Clust
                     batches: (routed / epb + 2)
                         .try_into()
                         .expect("journal batch count fits u32"),
-                    persistency: cfg.persistency.or(cfg.analytics.persistency),
+                    persistency: cfg.persistency.unwrap_or(cfg.analytics.persistency),
                     ..cfg.analytics
                 };
                 if cfg.backend == BackendKind::Analytics {
@@ -206,7 +205,7 @@ pub fn run_cluster(cfg: &ClusterConfig, requests: &[Request]) -> SimResult<Clust
                 } else {
                     let kvs = KvsParams {
                         ops_per_batch: cfg.policy.max_batch,
-                        persistency: cfg.persistency.or(cfg.kvs.persistency),
+                        persistency: cfg.persistency.unwrap_or(cfg.kvs.persistency),
                         ..cfg.kvs
                     };
                     Shard::new_mixed(kvs, an, cfg.mode)?

@@ -393,7 +393,7 @@ pub fn run_replicated_cluster(
     for (idx, stream) in streams.iter().enumerate() {
         let params = KvsParams {
             ops_per_batch: cfg.policy.max_batch,
-            persistency: cfg.persistency.or(cfg.kvs.persistency),
+            persistency: cfg.persistency.unwrap_or(cfg.kvs.persistency),
             ..cfg.kvs
         };
         let mut pair = ReplicatedShard::new_kvs(params, cfg.mode, rep, idx as u32)?;

@@ -118,7 +118,7 @@ pub fn run_resharded_cluster(
     let n_total = plan.shards_before.max(plan.shards_after) as usize;
     let params = KvsParams {
         ops_per_batch: cfg.policy.max_batch,
-        persistency: cfg.persistency.or(cfg.kvs.persistency),
+        persistency: cfg.persistency.unwrap_or(cfg.kvs.persistency),
         ..cfg.kvs
     };
     let mut shards: Vec<Shard> = (0..n_total)

@@ -18,7 +18,7 @@
 //!    batch rewrites the same bytes at the same offsets), so it needs no
 //!    logging. Large sequential appends with one persist fence per warp
 //!    are exactly where the Epoch persistency model should shine over
-//!    Strict — the `analytics_*` enginebench legs measure that delta.
+//!    Strict — `tests::epoch_beats_strict` pins that delta.
 //! 2. **The session store** — an open-addressed 8-way table over PM
 //!    reusing the 32-byte-slot atomic-publish discipline of
 //!    [`crate::hash_shard`]: key = user id, value = the packed per-user
@@ -180,8 +180,8 @@ pub struct AnalyticsParams {
     /// Per-event CPU ingestion cost (parse + route).
     pub pipeline_ns: f64,
     /// GPU persistency model for every kernel this workload launches
-    /// (`None` defers to `GPM_PERSISTENCY`, then strict).
-    pub persistency: Option<gpm_gpu::PersistencyModel>,
+    /// (strict by default).
+    pub persistency: gpm_gpu::PersistencyModel,
 }
 
 impl Default for AnalyticsParams {
@@ -199,7 +199,7 @@ impl Default for AnalyticsParams {
             seq_pattern: [0x0001, 0x0006, 0x0018],
             seed: 42,
             pipeline_ns: 120.0,
-            persistency: None,
+            persistency: gpm_gpu::PersistencyModel::Strict,
         }
     }
 }
@@ -218,7 +218,7 @@ impl AnalyticsParams {
 
     /// Pins the GPU persistency model for every launch of this workload.
     pub fn with_persistency(mut self, model: gpm_gpu::PersistencyModel) -> AnalyticsParams {
-        self.persistency = Some(model);
+        self.persistency = model;
         self
     }
 
@@ -490,11 +490,7 @@ impl AnalyticsWorkload {
     }
 
     fn cfg(&self, elements: u64) -> LaunchConfig {
-        let cfg = LaunchConfig::for_elements(elements.max(1), 256);
-        match self.params.persistency {
-            Some(model) => cfg.with_persistency(model),
-            None => cfg,
-        }
+        LaunchConfig::for_elements(elements.max(1), 256).with_persistency(self.params.persistency)
     }
 
     /// The launch shape of a full-capacity fold (log geometry and the

@@ -79,11 +79,10 @@ pub struct DbParams {
     /// Undo-log backend for UPDATEs: `None` = HCL, `Some(p)` = conventional
     /// logging with `p` partitions (the Figure 11 baseline).
     pub conventional_log_partitions: Option<u32>,
-    /// GPU persistency model for every kernel this workload launches.
-    /// `None` defers to `GPM_PERSISTENCY` (then strict), exactly like
-    /// [`LaunchConfig::persistency`]; `Some(model)` pins it, which is how
-    /// harnesses (enginebench, gpm-serve) select epoch explicitly.
-    pub persistency: Option<gpm_gpu::PersistencyModel>,
+    /// GPU persistency model for every kernel this workload launches,
+    /// strict by default, like [`LaunchConfig::persistency`]; gpm-serve
+    /// selects epoch through it.
+    pub persistency: gpm_gpu::PersistencyModel,
 }
 
 impl Default for DbParams {
@@ -96,7 +95,7 @@ impl Default for DbParams {
             op: DbOp::Insert,
             cap_threads: 32,
             conventional_log_partitions: None,
-            persistency: None,
+            persistency: gpm_gpu::PersistencyModel::Strict,
         }
     }
 }
@@ -121,7 +120,7 @@ impl DbParams {
 
     /// Pins the GPU persistency model for every launch of this workload.
     pub fn with_persistency(mut self, model: gpm_gpu::PersistencyModel) -> DbParams {
-        self.persistency = Some(model);
+        self.persistency = model;
         self
     }
 
@@ -291,11 +290,7 @@ impl DbWorkload {
     }
 
     fn cfg_for(&self, elements: u64) -> LaunchConfig {
-        let cfg = LaunchConfig::for_elements(elements, 256);
-        match self.params.persistency {
-            Some(model) => cfg.with_persistency(model),
-            None => cfg,
-        }
+        LaunchConfig::for_elements(elements, 256).with_persistency(self.params.persistency)
     }
 
     fn update_launch_cfg(&self) -> LaunchConfig {

@@ -75,11 +75,10 @@ pub struct KvsParams {
     /// Key skew: `None` = unique uniform keys per batch, `Some(theta)` =
     /// Zipfian key popularity over a bounded key universe (YCSB-style).
     pub key_skew: Option<f64>,
-    /// GPU persistency model for every kernel this workload launches.
-    /// `None` defers to `GPM_PERSISTENCY` (then strict), exactly like
-    /// [`LaunchConfig::persistency`]; `Some(model)` pins it, which is how
-    /// harnesses (enginebench, gpm-serve) select epoch explicitly.
-    pub persistency: Option<gpm_gpu::PersistencyModel>,
+    /// GPU persistency model for every kernel this workload launches,
+    /// strict by default, like [`LaunchConfig::persistency`]; gpm-serve
+    /// selects epoch through it.
+    pub persistency: gpm_gpu::PersistencyModel,
 }
 
 impl Default for KvsParams {
@@ -94,7 +93,7 @@ impl Default for KvsParams {
             get_response_ns: 400.0,
             conventional_log_partitions: None,
             key_skew: None,
-            persistency: None,
+            persistency: gpm_gpu::PersistencyModel::Strict,
         }
     }
 }
@@ -118,7 +117,7 @@ impl KvsParams {
 
     /// Pins the GPU persistency model for every launch of this workload.
     pub fn with_persistency(mut self, model: gpm_gpu::PersistencyModel) -> KvsParams {
-        self.persistency = Some(model);
+        self.persistency = model;
         self
     }
 
@@ -239,11 +238,8 @@ impl KvsWorkload {
     }
 
     fn cfg_for_ops(&self, n_ops: u64) -> LaunchConfig {
-        let mut cfg = LaunchConfig::for_elements(n_ops * THREAD_GROUP, 256);
-        if let Some(model) = self.params.persistency {
-            cfg = cfg.with_persistency(model);
-        }
-        cfg
+        LaunchConfig::for_elements(n_ops * THREAD_GROUP, 256)
+            .with_persistency(self.params.persistency)
     }
 
     /// Hash-partitions a batch: stable-sorts operations by set, then packs

@@ -16,7 +16,7 @@
 
 use gpm_core::{gpm_persist_begin, gpm_persist_end, GpmThreadExt};
 use gpm_gpu::{launch, launch_with_fuel, FnKernel, LaunchConfig, LaunchError, ThreadCtx};
-use gpm_sim::{Addr, Machine, MachineConfig, Stats};
+use gpm_sim::{Addr, Machine, MachineConfig, PersistencyModel, Stats};
 
 /// Committed fingerprint of the fixture's outcome under strict persistency
 /// (the default). Regenerate by running the
@@ -35,12 +35,12 @@ const GOLDEN: &str = "pm_write_bytes_gpu=4136 \
      crash_dropped=144 \
      elapsed_ns_bits=0x40d7306db6db6db7";
 
-/// Committed fingerprint under `GPM_PERSISTENCY=epoch` (CI's epoch matrix
-/// leg). Fences close lines into the open epoch instead of draining them,
-/// the deferred drain lands at each kernel boundary, and the mid-kernel
-/// crash resolves closed-but-undrained lines through the seeded RNG — so
-/// fence timing, `bytes_persisted`, and the applied/dropped split all
-/// legitimately differ from the strict goldens above.
+/// Committed fingerprint under epoch persistency. Fences close lines into
+/// the open epoch instead of draining them, the deferred drain lands at
+/// each kernel boundary, and the mid-kernel crash resolves
+/// closed-but-undrained lines through the seeded RNG — so fence timing,
+/// `bytes_persisted`, and the applied/dropped split all legitimately
+/// differ from the strict goldens above.
 const GOLDEN_EPOCH: &str = "pm_write_bytes_gpu=4136 \
      pm_read_bytes_gpu=2048 \
      pcie_write_txns=280 \
@@ -83,8 +83,10 @@ fn fingerprint(stats: &Stats, hbm_ctr: u32, applied: u64, dropped: u64, elapsed_
     )
 }
 
-/// A fixed workload touching every counter class the engine maintains.
-fn run_fixture() -> String {
+/// A fixed workload touching every counter class the engine maintains, with
+/// every launch under `model`.
+fn run_fixture(model: PersistencyModel) -> String {
+    let cfg = |grid, block| LaunchConfig::new(grid, block).with_persistency(model);
     let mut m = Machine::new(MachineConfig::default().with_seed(0xD5));
     let pm = m.alloc_pm(1 << 22).unwrap();
     let hbm = m.alloc_hbm(1 << 12).unwrap();
@@ -97,7 +99,7 @@ fn run_fixture() -> String {
         ctx.st_u64(Addr::pm(pm + i * 8), i ^ 0x5A5A)?;
         ctx.gpm_persist()
     });
-    launch(&mut m, LaunchConfig::new(4, 64), &k1).unwrap();
+    launch(&mut m, cfg(4, 64), &k1).unwrap();
     gpm_persist_end(&mut m);
 
     // 2. Scattered stores (one transaction each) plus coalesced loads and
@@ -110,7 +112,7 @@ fn run_fixture() -> String {
         ctx.atomic_add_u32(Addr::hbm(hbm + (1 << 11)), 1)?;
         ctx.atomic_add_u32(Addr::pm(pm + (1 << 20)), 1).map(|_| ())
     });
-    launch(&mut m, LaunchConfig::new(8, 32), &k2).unwrap();
+    launch(&mut m, cfg(8, 32), &k2).unwrap();
     let hbm_ctr = m.read_u32(Addr::hbm(hbm + (1 << 11))).unwrap();
 
     // 3. A crash mid-kernel: unfenced lines resolve through the seeded RNG,
@@ -120,7 +122,7 @@ fn run_fixture() -> String {
         ctx.st_u64(Addr::pm(pm + (1 << 21) + i * 64), i)?;
         ctx.threadfence()
     });
-    let (applied, dropped) = match launch_with_fuel(&mut m, LaunchConfig::new(1, 32), &k3, 9) {
+    let (applied, dropped) = match launch_with_fuel(&mut m, cfg(1, 32), &k3, 9) {
         Err(LaunchError::Crashed(r)) => (r.lines_applied, r.lines_dropped),
         other => panic!("fixture expected a crash, got {other:?}"),
     };
@@ -130,28 +132,31 @@ fn run_fixture() -> String {
         let i = ctx.global_id();
         ctx.ld_u64(Addr::pm(pm + i * 8)).map(|_| ())
     });
-    launch(&mut m, LaunchConfig::new(4, 32), &k4).unwrap();
+    launch(&mut m, cfg(4, 32), &k4).unwrap();
 
     fingerprint(&m.stats, hbm_ctr, applied, dropped, m.clock.now().0)
 }
 
+const MODELS: [PersistencyModel; 2] = [PersistencyModel::Strict, PersistencyModel::Epoch];
+
 #[test]
 fn fixture_is_deterministic_within_a_process() {
-    assert_eq!(run_fixture(), run_fixture(), "two identical runs diverged");
+    for model in MODELS {
+        assert_eq!(
+            run_fixture(model),
+            run_fixture(model),
+            "two identical {model:?} runs diverged"
+        );
+    }
 }
 
 #[test]
 fn golden_counters_match_committed_values() {
-    // The launch layer resolves an unset `LaunchConfig::persistency` from
-    // the `GPM_PERSISTENCY` environment variable, so CI runs this same test
-    // once per persistency model and pins each against its own goldens.
-    let epoch = std::env::var("GPM_PERSISTENCY")
-        .map(|v| v.eq_ignore_ascii_case("epoch"))
-        .unwrap_or(false);
-    let golden = if epoch { GOLDEN_EPOCH } else { GOLDEN };
-    let actual = run_fixture();
-    assert_eq!(
-        actual, golden,
-        "\nengine output drifted from the committed goldens\n actual: {actual}\n golden: {golden}\n"
-    );
+    for (model, golden) in MODELS.into_iter().zip([GOLDEN, GOLDEN_EPOCH]) {
+        let actual = run_fixture(model);
+        assert_eq!(
+            actual, golden,
+            "\n{model:?} engine output drifted from the committed goldens\n actual: {actual}\n golden: {golden}\n"
+        );
+    }
 }
