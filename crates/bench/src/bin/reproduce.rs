@@ -16,6 +16,5 @@ fn main() {
     gpm_bench::emit(&figures::table4(scale));
     gpm_bench::emit(&figures::table5(scale));
     gpm_bench::emit(&figures::checkpoint_frequency(scale));
-    gpm_bench::emit(&figures::recovery_stress(scale));
     println!("reproduced the full evaluation in {:.1?}", t0.elapsed());
 }

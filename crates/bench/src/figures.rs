@@ -502,96 +502,6 @@ pub fn checkpoint_frequency(scale: Scale) -> Report {
     report
 }
 
-/// §6.2 recoverability stress test: inject crashes at many points in every
-/// workload with a recovery path and verify state after recovery.
-///
-/// # Panics
-///
-/// Panics on internal simulation errors.
-pub fn recovery_stress(scale: Scale) -> Report {
-    let mut report = Report::new(
-        "out_recovery_stress",
-        "Section 6.2: crash-injection stress (recovered/attempts)",
-        &["workload", "attempts", "recovered"],
-    );
-    let quick = scale == Scale::Quick;
-    let fuels: Vec<u64> = if quick {
-        vec![100, 1_000, 10_000]
-    } else {
-        vec![100, 500, 2_000, 10_000, 50_000, 200_000]
-    };
-
-    let mut tally = |name: &str, results: Vec<bool>| {
-        let ok = results.iter().filter(|&&b| b).count();
-        report.row(&[name.to_string(), results.len().to_string(), ok.to_string()]);
-    };
-
-    let kvs_results: Vec<bool> = fuels
-        .iter()
-        .map(|&f| {
-            let p = if quick {
-                KvsParams::quick()
-            } else {
-                KvsParams::default()
-            };
-            KvsWorkload::new(p)
-                .run_crash_injected(&mut fresh(), f)
-                .expect("kvs crash")
-        })
-        .collect();
-    tally("gpKVS", kvs_results);
-
-    let bfs_results: Vec<bool> = fuels
-        .iter()
-        .map(|&f| {
-            let p = if quick {
-                BfsParams::quick()
-            } else {
-                BfsParams::default()
-            };
-            BfsWorkload::new(p)
-                .run_crash_resume(&mut fresh(), f)
-                .expect("bfs crash")
-                .verified
-        })
-        .collect();
-    tally("BFS", bfs_results);
-
-    let srad_results: Vec<bool> = fuels
-        .iter()
-        .map(|&f| {
-            let p = if quick {
-                SradParams::quick()
-            } else {
-                SradParams::default()
-            };
-            SradWorkload::new(p)
-                .run_crash_resume(&mut fresh(), f)
-                .expect("srad crash")
-                .verified
-        })
-        .collect();
-    tally("SRAD", srad_results);
-
-    let ps_results: Vec<bool> = fuels
-        .iter()
-        .map(|&f| {
-            let p = if quick {
-                PsParams::quick()
-            } else {
-                PsParams::default()
-            };
-            PsWorkload::new(p)
-                .run_crash_resume(&mut fresh(), f)
-                .expect("ps crash")
-                .verified
-        })
-        .collect();
-    tally("PS", ps_results);
-
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,14 +521,5 @@ mod tests {
     fn table5_reports_transactional_and_checkpointing() {
         let r = table5(Scale::Quick);
         assert_eq!(r.len(), 8, "4 transactional + 4 checkpointing rows");
-    }
-
-    #[test]
-    fn recovery_stress_all_recover() {
-        let r = recovery_stress(Scale::Quick);
-        for line in r.to_tsv().lines().skip(2) {
-            let cells: Vec<&str> = line.split('\t').collect();
-            assert_eq!(cells[1], cells[2], "{line}: all crashes must recover");
-        }
     }
 }

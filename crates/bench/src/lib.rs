@@ -16,7 +16,6 @@
 //! | `fig12` | Figure 12 — PCIe write bandwidth |
 //! | `table4` | Table 4 — write amplification |
 //! | `table5` | Table 5 — restoration latency |
-//! | `recovery_stress` | §6.2 — crash-injection stress |
 //! | `campaign` | §6.2 — systematic crash-point enumeration with recovery oracles |
 //!
 //! Pass `--quick` to any binary for scaled-down inputs.

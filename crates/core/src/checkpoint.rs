@@ -12,8 +12,7 @@
 //! is why checkpointing reaches peak PM bandwidth in Figure 12.
 
 use gpm_gpu::{
-    launch, launch_with_gauge, FnKernel, FuelGauge, Kernel, LaunchConfig, LaunchError, ThreadCtx,
-    WarpCtx,
+    launch_with_gauge, FuelGauge, Kernel, LaunchConfig, LaunchError, ThreadCtx, WarpCtx,
 };
 use gpm_sim::cpu::CpuCtx;
 use gpm_sim::{Addr, EventKind, Machine, Ns, SimError, SimResult, HOST_WRITER};
@@ -46,12 +45,6 @@ pub struct GpmCheckpoint {
     capacity: u64,
     elements: u32,
     regs: Vec<Vec<Registration>>,
-    /// Per-group dirty bitmap written by the previous (incremental)
-    /// checkpoint; volatile host state (None after reopen).
-    prev_dirty: Vec<Option<Vec<bool>>>,
-    /// HBM buffer holding per-512-byte-block copy flags for the sparse
-    /// copy kernel (allocated on first incremental checkpoint).
-    dirty_map_hbm: Option<u64>,
 }
 
 fn cap_aligned(capacity: u64) -> u64 {
@@ -142,8 +135,6 @@ pub fn gpmcp_create(
         capacity: size,
         elements,
         regs: vec![Vec::new(); groups as usize],
-        prev_dirty: vec![None; groups as usize],
-        dirty_map_hbm: None,
     })
 }
 
@@ -173,8 +164,6 @@ pub fn gpmcp_open(machine: &Machine, path: &str) -> CoreResult<GpmCheckpoint> {
         capacity,
         elements,
         regs: vec![Vec::new(); groups as usize],
-        prev_dirty: vec![None; groups as usize],
-        dirty_map_hbm: None,
     })
 }
 
@@ -363,24 +352,6 @@ pub fn gpmcp_checkpoint_gauged(
     result
 }
 
-/// Like [`gpmcp_checkpoint`], but tracks that the whole group was rewritten
-/// so a following [`gpmcp_checkpoint_incremental`] can skip clean chunks.
-///
-/// # Errors
-///
-/// Same conditions as [`gpmcp_checkpoint`].
-pub fn gpmcp_checkpoint_tracked(
-    machine: &mut Machine,
-    cp: &mut GpmCheckpoint,
-    group: u32,
-) -> CoreResult<Ns> {
-    let t = gpmcp_checkpoint(machine, cp, group)?;
-    // "Everything was rewritten": the bitmap pads with `true`, so a single
-    // set flag marks the whole group.
-    cp.prev_dirty[group as usize] = Some(vec![true]);
-    Ok(t)
-}
-
 /// Streams the group's registered structures into the working buffer. With
 /// `persist`, the copy runs inside a DDIO window and fences per chunk (the
 /// GPM path); without, writes reach PM unfenced (the GPM-NDP path — the
@@ -425,125 +396,6 @@ fn fill_working_gauged(
         total += copy_all(machine)?;
     }
     Ok((dst, cp.registered_bytes(group), total))
-}
-
-/// Incremental checkpoint: copies only the chunks the application marked
-/// dirty since the last checkpoint (plus the chunks written by the
-/// *previous* checkpoint, which are stale in the working buffer under
-/// double buffering), then publishes. This is the CheckFreq-style
-/// fine-grained checkpointing the paper cites as motivation (§4.2) — a
-/// large win when updates between checkpoints are sparse (see
-/// `examples/extensions.rs`).
-///
-/// `dirty[i]` covers bytes `[i·chunk_bytes, (i+1)·chunk_bytes)` of the
-/// group's registered data, concatenated in registration order. After
-/// `gpmcp_open` the first incremental checkpoint copies everything (the
-/// dirty history is volatile).
-///
-/// # Errors
-///
-/// Fails when the group does not exist, the bitmap does not cover the
-/// registered bytes, or a copy faults.
-pub fn gpmcp_checkpoint_incremental(
-    machine: &mut Machine,
-    cp: &mut GpmCheckpoint,
-    group: u32,
-    dirty: &[bool],
-    chunk_bytes: u64,
-) -> CoreResult<Ns> {
-    if group >= cp.groups {
-        return Err(CoreError::NoSuchGroup(group));
-    }
-    if chunk_bytes == 0 || !chunk_bytes.is_multiple_of(COPY_CHUNK) {
-        return Err(CoreError::BadGeometry(
-            "dirty chunk size must be a non-zero multiple of 512",
-        ));
-    }
-    let total = cp.registered_bytes(group);
-    if (dirty.len() as u64) * chunk_bytes < total {
-        return Err(CoreError::BadGeometry(
-            "dirty bitmap does not cover the registered data",
-        ));
-    }
-    // Chunks to write: dirty now, or written by the previous checkpoint
-    // (those blocks are stale in this buffer), or everything when history
-    // is unknown.
-    let to_write: Vec<bool> = match &cp.prev_dirty[group as usize] {
-        Some(prev) => dirty
-            .iter()
-            .zip(prev.iter().chain(std::iter::repeat(&true)))
-            .map(|(&d, &p)| d || p)
-            .collect(),
-        None => vec![true; dirty.len()],
-    };
-    // Expand to per-512-byte-block flags in an HBM-side map the copy kernel
-    // reads.
-    let blocks = total.div_ceil(COPY_CHUNK);
-    if cp.dirty_map_hbm.is_none() {
-        let cap_blocks = cap_aligned(cp.capacity).div_ceil(COPY_CHUNK);
-        cp.dirty_map_hbm = Some(machine.alloc_hbm(cap_blocks).map_err(CoreError::Sim)?);
-    }
-    let map = cp.dirty_map_hbm.expect("allocated above");
-    let mut flags = vec![0u8; blocks as usize];
-    for (b, f) in flags.iter_mut().enumerate() {
-        let chunk = (b as u64 * COPY_CHUNK) / chunk_bytes;
-        *f = u8::from(to_write[chunk as usize]);
-    }
-    machine.host_write(Addr::hbm(map), &flags)?;
-
-    let (consistent, _) = cp.consistent(machine, group)?;
-    let working = 1 - consistent;
-    let dst = cp.buffer_addr(group, working);
-    if machine.trace_enabled() {
-        machine.trace(EventKind::CheckpointBegin { group });
-    }
-    let mut total_t = Ns::ZERO;
-    with_persist_window(machine, |m| -> CoreResult<()> {
-        let mut off = 0u64;
-        for reg in cp.registrations(group) {
-            total_t += sparse_copy_kernel(m, reg.addr, dst.add(off), reg.size, map, off)?;
-            off += reg.size;
-        }
-        Ok(())
-    })?;
-    let t_pub = gpmcp_publish(machine, cp, group)?;
-    if machine.trace_enabled() {
-        machine.trace(EventKind::CheckpointEnd { group });
-    }
-    cp.prev_dirty[group as usize] = Some(dirty.to_vec());
-    Ok(total_t + t_pub + machine.cfg.ddio_toggle_overhead * 2.0)
-}
-
-fn sparse_copy_kernel(
-    machine: &mut Machine,
-    src: Addr,
-    dst: Addr,
-    len: u64,
-    map_hbm: u64,
-    map_byte_base: u64,
-) -> CoreResult<Ns> {
-    let threads = len.div_ceil(COPY_CHUNK);
-    let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
-        let i = ctx.global_id();
-        let off = i * COPY_CHUNK;
-        if off >= len {
-            return Ok(());
-        }
-        let flag_idx = (map_byte_base + off) / COPY_CHUNK;
-        let mut flag = [0u8];
-        ctx.ld_bytes(Addr::hbm(map_hbm + flag_idx), &mut flag)?;
-        if flag[0] == 0 {
-            return Ok(()); // clean since the working buffer's last write
-        }
-        let n = COPY_CHUNK.min(len - off) as usize;
-        let mut buf = vec![0u8; n];
-        ctx.ld_bytes(src.add(off), &mut buf)?;
-        ctx.st_bytes(dst.add(off), &buf)?;
-        ctx.gpm_persist()
-    });
-    let r =
-        launch(machine, LaunchConfig::for_elements(threads, 256), &k).map_err(CoreError::Sim)?;
-    Ok(r.elapsed)
 }
 
 /// Atomically publishes the working copy as consistent: bumps the sequence
@@ -721,122 +573,6 @@ mod tests {
         ));
         let cp = gpmcp_create(&mut m, "/pm/ok", 64, 1, 1).unwrap();
         gpmcp_close(&m, &cp).unwrap();
-    }
-
-    #[test]
-    fn incremental_checkpoint_writes_only_dirty_chunks() {
-        let len: u64 = 64 << 10;
-        let (mut m, hbm) = filled_machine(len, 3);
-        let mut cp = gpmcp_create(&mut m, "/pm/cpi", len, 1, 1).unwrap();
-        gpmcp_register(&mut cp, Addr::hbm(hbm), len, 0).unwrap();
-        // Full tracked checkpoint first; the next checkpoint must rewrite
-        // everything (its buffer is two epochs stale), so warm up with one
-        // all-covering incremental before measuring sparseness.
-        gpmcp_checkpoint_tracked(&mut m, &mut cp, 0).unwrap();
-        let full_bytes = m.stats.pm_write_bytes_gpu;
-        let chunks = (len / 4096) as usize;
-        gpmcp_checkpoint_incremental(&mut m, &mut cp, 0, &vec![false; chunks], 4096).unwrap();
-
-        // Mutate one 4 KiB chunk and checkpoint incrementally: from here on
-        // only declared-dirty chunks (plus the previous epoch's) are copied.
-        m.host_write(Addr::hbm(hbm + 8192), &[0xEE; 4096]).unwrap();
-        let mut dirty = vec![false; chunks];
-        dirty[2] = true;
-        let before = m.stats.pm_write_bytes_gpu;
-        gpmcp_checkpoint_incremental(&mut m, &mut cp, 0, &dirty, 4096).unwrap();
-        let incr_bytes = m.stats.pm_write_bytes_gpu - before;
-        assert!(
-            incr_bytes < full_bytes / 4,
-            "incremental wrote {incr_bytes} vs full {full_bytes}"
-        );
-
-        // Restore after a crash: the merged state must be exact.
-        m.crash();
-        gpmcp_restore(&mut m, &cp, 0).unwrap();
-        let mut buf = vec![0u8; 4096];
-        m.read(Addr::hbm(hbm + 8192), &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0xEE), "dirty chunk restored");
-        let mut head = vec![0u8; 16];
-        m.read(Addr::hbm(hbm), &mut head).unwrap();
-        for (i, &b) in head.iter().enumerate() {
-            assert_eq!(b, (i as u8).wrapping_mul(3), "clean chunk intact");
-        }
-    }
-
-    #[test]
-    fn incremental_covers_double_buffer_staleness() {
-        // Two consecutive incremental checkpoints touching different chunks:
-        // the second must also rewrite the first's chunks (stale in its
-        // buffer), or restore would return old data.
-        let len: u64 = 32 << 10;
-        let (mut m, hbm) = filled_machine(len, 1);
-        let mut cp = gpmcp_create(&mut m, "/pm/cpi2", len, 1, 1).unwrap();
-        gpmcp_register(&mut cp, Addr::hbm(hbm), len, 0).unwrap();
-        gpmcp_checkpoint_tracked(&mut m, &mut cp, 0).unwrap();
-
-        let chunks = (len / 4096) as usize;
-        // Epoch A: chunk 1 dirty.
-        m.host_write(Addr::hbm(hbm + 4096), &[0xAA; 4096]).unwrap();
-        let mut dirty = vec![false; chunks];
-        dirty[1] = true;
-        gpmcp_checkpoint_incremental(&mut m, &mut cp, 0, &dirty, 4096).unwrap();
-        // Epoch B: chunk 5 dirty.
-        m.host_write(Addr::hbm(hbm + 5 * 4096), &[0xBB; 4096])
-            .unwrap();
-        let mut dirty = vec![false; chunks];
-        dirty[5] = true;
-        gpmcp_checkpoint_incremental(&mut m, &mut cp, 0, &dirty, 4096).unwrap();
-
-        m.crash();
-        gpmcp_restore(&mut m, &cp, 0).unwrap();
-        let mut b = vec![0u8; 4096];
-        m.read(Addr::hbm(hbm + 4096), &mut b).unwrap();
-        assert!(
-            b.iter().all(|&x| x == 0xAA),
-            "epoch-A chunk survived epoch B"
-        );
-        m.read(Addr::hbm(hbm + 5 * 4096), &mut b).unwrap();
-        assert!(b.iter().all(|&x| x == 0xBB));
-    }
-
-    #[test]
-    fn incremental_without_history_copies_everything() {
-        let len: u64 = 16 << 10;
-        let (mut m, hbm) = filled_machine(len, 9);
-        let mut cp = gpmcp_create(&mut m, "/pm/cpi3", len, 1, 1).unwrap();
-        gpmcp_register(&mut cp, Addr::hbm(hbm), len, 0).unwrap();
-        // No prior tracked checkpoint: an all-clean bitmap must still copy
-        // everything (history unknown).
-        let dirty = vec![false; (len / 4096) as usize];
-        gpmcp_checkpoint_incremental(&mut m, &mut cp, 0, &dirty, 4096).unwrap();
-        m.crash();
-        gpmcp_restore(&mut m, &cp, 0).unwrap();
-        let mut buf = vec![0u8; len as usize];
-        m.read(Addr::hbm(hbm), &mut buf).unwrap();
-        assert!(buf
-            .iter()
-            .enumerate()
-            .all(|(i, &b)| b == (i as u8).wrapping_mul(9)));
-    }
-
-    #[test]
-    fn incremental_validates_arguments() {
-        let mut m = Machine::default();
-        let h = m.alloc_hbm(8192).unwrap();
-        let mut cp = gpmcp_create(&mut m, "/pm/cpi4", 8192, 1, 1).unwrap();
-        gpmcp_register(&mut cp, Addr::hbm(h), 8192, 0).unwrap();
-        assert!(matches!(
-            gpmcp_checkpoint_incremental(&mut m, &mut cp, 0, &[true], 100),
-            Err(CoreError::BadGeometry(_))
-        ));
-        assert!(matches!(
-            gpmcp_checkpoint_incremental(&mut m, &mut cp, 0, &[true], 4096),
-            Err(CoreError::BadGeometry(_)),
-        ));
-        assert!(matches!(
-            gpmcp_checkpoint_incremental(&mut m, &mut cp, 9, &[true, true], 4096),
-            Err(CoreError::NoSuchGroup(9))
-        ));
     }
 
     #[test]

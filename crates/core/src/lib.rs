@@ -51,27 +51,20 @@
 
 #![warn(missing_docs)]
 
-pub mod audit;
 pub mod checkpoint;
 pub mod detect;
 pub mod error;
-pub mod heap;
 pub mod log;
 pub mod map;
-pub mod mem;
 pub mod persist;
 pub mod txn;
 
-pub use audit::{assert_all_persisted, persist_audit, UnpersistedRange};
 pub use checkpoint::{
-    gpmcp_checkpoint, gpmcp_checkpoint_gauged, gpmcp_checkpoint_incremental,
-    gpmcp_checkpoint_tracked, gpmcp_close, gpmcp_create, gpmcp_fill_working, gpmcp_open,
-    gpmcp_publish, gpmcp_register, gpmcp_restore, GpmCheckpoint, Registration,
+    gpmcp_checkpoint, gpmcp_checkpoint_gauged, gpmcp_close, gpmcp_create, gpmcp_fill_working,
+    gpmcp_open, gpmcp_publish, gpmcp_register, gpmcp_restore, GpmCheckpoint, Registration,
 };
 pub use detect::{detect_create, op_tag, DetectArea, DetectDev, DetectableCas};
 pub use error::{CoreError, CoreResult};
-pub use heap::PmHeap;
-pub use log::redo::{redo_create, RedoLog, RedoLogDev};
 pub use log::{
     gpmlog_close, gpmlog_create_conv, gpmlog_create_hcl, gpmlog_create_hcl_unstriped, gpmlog_open,
     GpmLog, GpmLogDev, LogKind,
@@ -79,6 +72,5 @@ pub use log::{
 pub use map::{
     gpm_map, gpm_persist_begin, gpm_persist_end, gpm_unmap, with_persist_window, GpmRegion,
 };
-pub use mem::{gpm_memcpy, gpm_memset};
 pub use persist::{GpmThreadExt, GpmWarpExt};
 pub use txn::TxnFlag;

@@ -14,7 +14,6 @@
 //! sentinel — a crash between the two leaves the entry invisible.
 
 pub mod layout;
-pub mod redo;
 
 use gpm_gpu::ThreadCtx;
 use gpm_sim::cpu::CpuCtx;

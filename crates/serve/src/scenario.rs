@@ -52,7 +52,7 @@ pub struct ScenarioOutcome {
     /// (`"replication"`, `"resharding"` or `"hostile"`).
     pub section: &'static str,
     /// The entry itself: one flat JSON object, fixed decimals, simulated
-    /// domain only (the byte-determinism unit CI `cmp`s).
+    /// domain only, so it is byte-identical run to run.
     pub json: String,
     /// Consistency verdict, for scenarios that audit PM images.
     pub oracle: Option<OracleVerdict>,

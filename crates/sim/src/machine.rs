@@ -634,17 +634,7 @@ impl Machine {
     /// persistence domain already) or lost. DDIO returns to its boot default.
     pub fn crash(&mut self) -> CrashReport {
         let report = self.pm.crash(&mut self.rng);
-        self.dram.wipe();
-        self.hbm.wipe();
-        self.ddio_enabled = true;
-        self.stats.crashes += 1;
-        if self.trace_enabled() {
-            self.trace(EventKind::Crash {
-                applied: report.lines_applied,
-                dropped: report.lines_dropped,
-            });
-        }
-        report
+        self.power_off(report)
     }
 
     /// Power failure with a chosen eviction outcome (campaign replay): the
@@ -655,6 +645,12 @@ impl Machine {
     /// [`Machine::crash`].
     pub fn crash_with_policy(&mut self, policy: CrashPolicy) -> CrashReport {
         let report = self.pm.crash_with_policy(policy);
+        self.power_off(report)
+    }
+
+    /// The tail both crash flavours share once PM has settled: wipe the
+    /// volatile memories, reset DDIO, count and trace the crash.
+    fn power_off(&mut self, report: CrashReport) -> CrashReport {
         self.dram.wipe();
         self.hbm.wipe();
         self.ddio_enabled = true;

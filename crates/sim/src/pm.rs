@@ -781,33 +781,7 @@ impl PmDevice {
     /// lines back. Lines are visited in ascending address order, so a given
     /// RNG state yields one reproducible crash outcome.
     pub fn crash(&mut self, rng: &mut Xoshiro256StarStar) -> CrashReport {
-        let mut report = CrashReport::default();
-        let Some(pages) = self.occupied_pages() else {
-            return report;
-        };
-        for ppage in pages {
-            let Some(page) = self.pending[ppage].as_deref() else {
-                continue;
-            };
-            let mut bits = page.present;
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if rng.gen_bool(0.5) {
-                    self.apply_line_at(ppage, slot);
-                    report.lines_applied += 1;
-                } else {
-                    let page = self.pending[ppage].as_deref_mut().expect("page resident");
-                    page.present &= !(1u64 << slot);
-                    page.closed &= !(1u64 << slot);
-                    self.free_slots.push(page.slots[slot]);
-                    self.pending_count -= 1;
-                    report.lines_dropped += 1;
-                }
-            }
-        }
-        self.settle_watermarks();
-        report
+        self.settle(|_| rng.gen_bool(0.5))
     }
 
     /// Power failure with a *chosen* eviction outcome: the subset of pending
@@ -821,6 +795,21 @@ impl PmDevice {
             _ => None,
         };
         let mask = policy.gray_mask().unwrap_or(0);
+        self.settle(|visited| match policy {
+            CrashPolicy::AllApplied => true,
+            CrashPolicy::NoneApplied => false,
+            CrashPolicy::GrayCode(_) => mask >> (visited % 64) & 1 == 1,
+            CrashPolicy::Random(_) => rng
+                .as_mut()
+                .expect("random policy has an rng")
+                .gen_bool(0.5),
+        })
+    }
+
+    /// The crash walk both crash flavours share: visits every pending line
+    /// in ascending address order and either applies it to media or drops
+    /// it, as `apply(i)` says for the `i`-th visited line.
+    fn settle(&mut self, mut apply: impl FnMut(u64) -> bool) -> CrashReport {
         let mut report = CrashReport::default();
         let Some(pages) = self.occupied_pages() else {
             return report;
@@ -834,17 +823,7 @@ impl PmDevice {
             while bits != 0 {
                 let slot = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let apply = match policy {
-                    CrashPolicy::AllApplied => true,
-                    CrashPolicy::NoneApplied => false,
-                    CrashPolicy::GrayCode(_) => mask >> (visited % 64) & 1 == 1,
-                    CrashPolicy::Random(_) => rng
-                        .as_mut()
-                        .expect("random policy has an rng")
-                        .gen_bool(0.5),
-                };
-                visited += 1;
-                if apply {
+                if apply(visited) {
                     self.apply_line_at(ppage, slot);
                     report.lines_applied += 1;
                 } else {
@@ -855,6 +834,7 @@ impl PmDevice {
                     self.pending_count -= 1;
                     report.lines_dropped += 1;
                 }
+                visited += 1;
             }
         }
         self.settle_watermarks();

@@ -471,33 +471,6 @@ impl BfsWorkload {
         Ok(metrics)
     }
 
-    /// Crash-injected GPM run: aborts mid-traversal after `fuel` operations,
-    /// then *resumes* (not restarts) from the persisted level and search
-    /// sequence, and verifies the final costs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn run_crash_resume(&self, machine: &mut Machine, fuel: u64) -> SimResult<RunMetrics> {
-        let st = self.setup(machine, Mode::Gpm)?;
-        self.start(machine, &st, Mode::Gpm)?;
-        match self.traverse(
-            machine,
-            &st,
-            Mode::Gpm,
-            0,
-            1,
-            0,
-            &mut FuelGauge::crash(fuel),
-        ) {
-            Ok(()) => {} // fuel outlasted the traversal
-            Err(LaunchError::Crashed(_)) => {}
-            Err(LaunchError::Sim(e)) => return Err(e),
-        }
-        machine.crash();
-        self.resume(machine, &st)
-    }
-
     /// Post-crash resume: reloads the graph, rolls uncommitted discoveries
     /// back to the last committed level, rebuilds the frontier, finishes the
     /// traversal, and verifies.
@@ -681,8 +654,10 @@ mod tests {
     fn crash_resume_completes_traversal() {
         for fuel in [2_000u64, 20_000, 200_000] {
             let mut m = Machine::default();
-            let r = quick().run_crash_resume(&mut m, fuel).unwrap();
-            assert!(r.verified, "fuel={fuel}");
+            let v = quick()
+                .run_case(&mut m, fuel, CrashPolicy::Random(fuel))
+                .unwrap();
+            assert!(v.passed(), "fuel={fuel}: {v:?}");
         }
     }
 

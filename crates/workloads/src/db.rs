@@ -800,91 +800,6 @@ impl DbWorkload {
         Ok(metrics)
     }
 
-    /// A SELECT aggregation query: scans the (HBM-resident) table for rows
-    /// matching `id % modulus == residue` and sums column `col` — the
-    /// read-only analytics work GPU databases already excel at (§4.1:
-    /// "executing primarily SELECT queries"). Runs identically under every
-    /// persistence system (nothing is persisted) and returns `(sum, rows
-    /// matched, elapsed)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn run_select(
-        &self,
-        machine: &mut Machine,
-        modulus: u64,
-        residue: u64,
-        col: u64,
-    ) -> SimResult<(u64, u64, Ns)> {
-        assert!(col < 12, "the table has 12 value columns");
-        let st = self.setup(machine, Mode::Gpm)?;
-        let rows = self.params.initial_rows;
-        let hbm_table = st.hbm_table;
-        // Block-local partial aggregates, combined by lane 0 of each block.
-        let sum_out = machine.alloc_hbm(8)?;
-        let count_out = machine.alloc_hbm(8)?;
-        let t0 = machine.clock.now();
-        struct SelectKernel {
-            hbm_table: u64,
-            rows: u64,
-            modulus: u64,
-            residue: u64,
-            col: u64,
-            sum_out: u64,
-            count_out: u64,
-        }
-        impl gpm_gpu::Kernel for SelectKernel {
-            type State = ();
-            type Shared = (u64, u64); // (sum, count)
-            fn phases(&self) -> u32 {
-                2
-            }
-            fn run(
-                &self,
-                phase: u32,
-                ctx: &mut gpm_gpu::ThreadCtx<'_>,
-                _: &mut (),
-                shared: &mut (u64, u64),
-            ) -> SimResult<()> {
-                let i = ctx.global_id();
-                if phase == 0 {
-                    if i >= self.rows {
-                        return Ok(());
-                    }
-                    let id = ctx.ld_u64(Addr::hbm(self.hbm_table + i * ROW_STRIDE))?;
-                    ctx.compute(Ns(25.0));
-                    if id % self.modulus == self.residue {
-                        let v = ctx.ld_u64(Addr::hbm(
-                            self.hbm_table + i * ROW_STRIDE + 8 + self.col * 8,
-                        ))?;
-                        shared.0 = shared.0.wrapping_add(v);
-                        shared.1 += 1;
-                    }
-                } else if ctx.thread_in_block() == 0 {
-                    let s = ctx.ld_u64(Addr::hbm(self.sum_out))?;
-                    let c = ctx.ld_u64(Addr::hbm(self.count_out))?;
-                    ctx.st_u64(Addr::hbm(self.sum_out), s.wrapping_add(shared.0))?;
-                    ctx.st_u64(Addr::hbm(self.count_out), c + shared.1)?;
-                }
-                Ok(())
-            }
-        }
-        let k = SelectKernel {
-            hbm_table,
-            rows,
-            modulus,
-            residue,
-            col,
-            sum_out,
-            count_out,
-        };
-        launch(machine, LaunchConfig::for_elements(rows, 256), &k)?;
-        let sum = machine.read_u64(Addr::hbm(sum_out))?;
-        let count = machine.read_u64(Addr::hbm(count_out))?;
-        Ok((sum, count, machine.clock.now() - t0))
-    }
-
     /// The CPU-only (OpenMP-style) implementation the paper compares against
     /// in §6.1 ("we converted the CUDA implementation of gpDB to OpenMP").
     ///
@@ -1455,35 +1370,6 @@ mod tests {
         let r = quick(DbOp::Update).run_with_recovery(&mut m).unwrap();
         assert!(r.verified);
         assert!(r.recovery.unwrap() > Ns::ZERO);
-    }
-
-    #[test]
-    fn select_aggregation_matches_host() {
-        let mut m = Machine::default();
-        let w = quick(DbOp::Insert);
-        let (sum, count, t) = w.run_select(&mut m, 5, 2, 3).unwrap();
-        // Host reference over the same initial rows.
-        let mut esum = 0u64;
-        let mut ecount = 0u64;
-        for r in 0..w.params.initial_rows {
-            if r % 5 == 2 {
-                esum = esum.wrapping_add(row_value(r, 3, 0));
-                ecount += 1;
-            }
-        }
-        assert_eq!(sum, esum);
-        assert_eq!(count, ecount);
-        assert!(t.0 > 0.0);
-    }
-
-    #[test]
-    fn select_persists_nothing() {
-        let mut m = Machine::default();
-        let before = m.stats;
-        quick(DbOp::Insert).run_select(&mut m, 7, 0, 1).unwrap();
-        let d = m.stats.delta(&before);
-        assert_eq!(d.pm_write_bytes_gpu, 0, "SELECT is read-only");
-        assert_eq!(d.system_fences, 0);
     }
 
     #[test]

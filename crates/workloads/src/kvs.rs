@@ -821,51 +821,6 @@ impl KvsWorkload {
         Ok(metrics)
     }
 
-    /// Crash-injected run: crashes mid-batch after `fuel` operations, then
-    /// recovers. Returns whether post-recovery verification succeeded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn run_crash_injected(&self, machine: &mut Machine, fuel: u64) -> SimResult<bool> {
-        assert!(
-            self.params.key_skew.is_none(),
-            "exact undo verification requires unique keys (no skew)"
-        );
-        let st = self.setup(machine, Mode::Gpm)?;
-        let ops = self.gen_batch(0);
-        let packed = self.pack_batch(&ops);
-        self.upload_batch(machine, &st, &packed)?;
-        let epoch = self.enter_epoch(machine, &st, 0)?;
-        gpm_persist_begin(machine);
-        match launch_with_fuel(
-            machine,
-            self.cfg_for_ops(packed.len()),
-            &self.batch_kernel(&st, packed.len(), epoch, true, true),
-            fuel,
-        ) {
-            Ok(_) => {
-                gpm_persist_end(machine);
-                machine.crash();
-            }
-            Err(LaunchError::Crashed(_)) => {}
-            Err(LaunchError::Sim(e)) => return Err(e),
-        }
-        self.recover(machine, &st)?;
-        // All of batch 0 was undone: none of its keys may remain in the PM
-        // table.
-        let shard = st.shard(self.params.sets);
-        for (key, _, is_get) in self.gen_batch(0) {
-            if is_get {
-                continue;
-            }
-            if shard.host_find(machine, key)?.is_some() {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
     /// The recovery kernel (Figure 6b): undo logged insertions, newest
     /// first, removing each entry only after the store is persisted.
     /// Public so a serving frontend can replay recovery when it boots a
@@ -1228,8 +1183,10 @@ mod tests {
     fn crash_injection_recovers() {
         for fuel in [50u64, 500, 5_000] {
             let mut m = Machine::default();
-            let ok = quick().run_crash_injected(&mut m, fuel).unwrap();
-            assert!(ok, "fuel={fuel}: recovery must restore the empty table");
+            let v = quick()
+                .run_case(&mut m, fuel, CrashPolicy::Random(fuel))
+                .unwrap();
+            assert!(v.passed(), "fuel={fuel}: {v:?}");
         }
     }
 

@@ -10,9 +10,12 @@
 //!    mid-run, execute the workload's own recovery path, and judge the
 //!    recovered state against a host-side reference.
 //!
-//! It replaces the previous ad-hoc trio of per-workload entry points
-//! (`run_crash_injected` / `run_crash_resume` / `run_with_recovery`) behind
-//! one interface; those remain as thin wrappers for existing tests.
+//! It is the only way a workload is crashed and judged: the campaign, the
+//! §6.2 crash tests and the examples all go through [`run_case`]. A
+//! workload's `run_with_recovery` is a different measurement — Table 5's
+//! restoration latency, a time rather than a verdict.
+//!
+//! [`run_case`]: RecoveryOracle::run_case
 //!
 //! [`oracle_suite`] returns the full bench lineup — the same eleven
 //! configurations as Figure 9, minus the GET-mix variant (its crash

@@ -652,24 +652,6 @@ impl PsWorkload {
         Ok(metrics)
     }
 
-    /// Crash-injected GPM run: aborts mid-pipeline, then resumes. Blocks
-    /// whose sentinel partial sum survived are not recomputed (Figure 8's
-    /// recovery). Returns metrics of the resumed run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn run_crash_resume(&self, machine: &mut Machine, fuel: u64) -> SimResult<RunMetrics> {
-        let st = self.setup(machine, Mode::Gpm)?;
-        match self.run_pipeline(machine, &st, Mode::Gpm, &mut FuelGauge::crash(fuel)) {
-            Ok(()) => {}
-            Err(LaunchError::Crashed(_)) => {}
-            Err(LaunchError::Sim(e)) => return Err(e),
-        }
-        machine.crash();
-        self.resume(machine, &st)
-    }
-
     /// Post-crash resume: reloads the input and surviving partial sums into
     /// HBM, reruns the pipeline (completed blocks are skipped), verifies.
     fn resume(&self, machine: &mut Machine, st: &PsState) -> SimResult<RunMetrics> {
@@ -772,8 +754,18 @@ mod tests {
 
     #[test]
     fn crash_resume_skips_completed_blocks() {
+        let w = quick();
         let mut m = Machine::default();
-        let r = quick().run_crash_resume(&mut m, 4_000).unwrap();
+        let st = w.setup(&mut m, Mode::Gpm).unwrap();
+        let policy = CrashPolicy::Random(4_000);
+        let res = w.run_pipeline(
+            &mut m,
+            &st,
+            Mode::Gpm,
+            &mut FuelGauge::crash_with_policy(4_000, policy),
+        );
+        crate::oracle::settle_crash(&mut m, policy, res).unwrap();
+        let r = w.resume(&mut m, &st).unwrap();
         assert!(r.verified);
 
         // A clean run writes every partial to PM; the resumed run must have

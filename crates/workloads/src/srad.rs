@@ -104,8 +104,8 @@ fn diffuse(center: f32, up: f32, down: f32, left: f32, right: f32, c: f32, lambd
 /// the image border), so interior *row-aligned* warps are uniform and run
 /// vectorized; warps touching the border or straddling rows diverge in
 /// address pattern and fall back to the per-lane walk. The kernel runs
-/// under crash gauges (`run_crash_resume`, the recovery oracle), so
-/// `warp_fuel` must bound the per-lane operation count exactly.
+/// under the recovery oracle's crash gauges, so `warp_fuel` must bound the
+/// per-lane operation count exactly.
 struct SradIterKernel {
     e: u64,
     lambda: f32,
@@ -557,24 +557,6 @@ impl SradWorkload {
         Ok(metrics)
     }
 
-    /// Crash-injected GPM run: aborts mid-iteration, then resumes from the
-    /// persisted iteration counter and image.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn run_crash_resume(&self, machine: &mut Machine, fuel: u64) -> SimResult<RunMetrics> {
-        let st = self.setup(machine, Mode::Gpm)?;
-        self.persist_iter(machine, &st, 0)?;
-        match self.run_iters(machine, &st, Mode::Gpm, 0, &mut FuelGauge::crash(fuel)) {
-            Ok(()) => {}
-            Err(LaunchError::Crashed(_)) => {}
-            Err(LaunchError::Sim(e)) => return Err(e),
-        }
-        machine.crash();
-        self.resume(machine, &st)
-    }
-
     /// Post-crash resume: reads the committed iteration counter, reloads the
     /// consistent image buffer, finishes the diffusion, and verifies.
     fn resume(&self, machine: &mut Machine, st: &SradState) -> SimResult<RunMetrics> {
@@ -686,8 +668,10 @@ mod tests {
     fn crash_resume_produces_correct_image() {
         for fuel in [3_000u64, 30_000] {
             let mut m = Machine::default();
-            let r = quick().run_crash_resume(&mut m, fuel).unwrap();
-            assert!(r.verified, "fuel={fuel}");
+            let v = quick()
+                .run_case(&mut m, fuel, CrashPolicy::Random(fuel))
+                .unwrap();
+            assert!(v.passed(), "fuel={fuel}: {v:?}");
         }
     }
 

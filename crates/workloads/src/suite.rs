@@ -46,7 +46,7 @@ pub trait Workload {
 
     /// Runs under GPM and measures worst-case restoration latency
     /// (Table 5). Native workloads return `None` metrics here — their
-    /// recovery is embedded (§6.2) and exercised by `run`-with-crash tests.
+    /// recovery is embedded (§6.2) and exercised by their recovery oracles.
     ///
     /// # Errors
     ///
@@ -90,7 +90,7 @@ macro_rules! delegate_native {
             }
             // Native workloads embed their recovery in the kernels (§5.4);
             // the default `run_with_recovery` (None) applies, and crash
-            // resume is exercised through `run_crash_resume`.
+            // resume is exercised through the `RecoveryOracle` impl.
         }
     };
 }

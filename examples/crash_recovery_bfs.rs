@@ -5,10 +5,11 @@
 //! The kernel persists each discovered node's cost and the search sequence
 //! in place; after an injected crash, the traversal continues from the last
 //! completed level instead of restarting — the new capability GPM's
-//! in-kernel persistence enables.
+//! in-kernel persistence enables. Each crash goes through the workload's
+//! recovery oracle, the same path the crash-consistency campaign drives.
 
-use gpm_sim::{Machine, SimError};
-use gpm_workloads::{BfsParams, BfsWorkload, Mode};
+use gpm_sim::{CrashPolicy, Machine, SimError};
+use gpm_workloads::{BfsParams, BfsWorkload, Mode, RecoveryOracle};
 
 fn main() -> Result<(), SimError> {
     let params = BfsParams {
@@ -16,7 +17,7 @@ fn main() -> Result<(), SimError> {
         height: 128,
         ..BfsParams::default()
     };
-    let workload = BfsWorkload::new(params);
+    let mut workload = BfsWorkload::new(params);
 
     // A clean run, for reference.
     let mut machine = Machine::default();
@@ -26,19 +27,14 @@ fn main() -> Result<(), SimError> {
         clean.elapsed, clean.pm_write_bytes_gpu, clean.verified
     );
 
-    // Now crash it at several points and resume each time.
+    // Now crash it at several points, resume each time, and judge the final
+    // costs against the host reference.
     for fuel in [5_000u64, 50_000, 500_000] {
         let mut machine = Machine::default();
-        let resumed = workload.run_crash_resume(&mut machine, fuel)?;
-        println!(
-            "crash after ~{fuel} GPU ops -> resume setup {}, remaining traversal {}, \
-             final costs correct: {}",
-            resumed.recovery.expect("resume setup measured"),
-            resumed.elapsed,
-            resumed.verified
-        );
+        let verdict = workload.run_case(&mut machine, fuel, CrashPolicy::Random(fuel))?;
+        println!("crash after ~{fuel} GPU ops -> resume, verdict: {verdict:?}");
         assert!(
-            resumed.verified,
+            verdict.passed(),
             "resume must complete the traversal exactly"
         );
     }

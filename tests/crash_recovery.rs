@@ -1,12 +1,14 @@
-//! The §6.2 recoverability stress test: inject crashes at many points in
-//! every GPMbench workload with a recovery path and verify the recovered
-//! state — the reproduction of the paper's NVBitFI campaign ("We
-//! successfully recovered the state of every program after crashes").
+//! The §6.2 recoverability stress test: crash every GPMbench workload with
+//! a recovery path at many points through its [`RecoveryOracle`] and judge
+//! the recovered state — the reproduction of the paper's NVBitFI campaign
+//! ("We successfully recovered the state of every program after crashes").
+//! Each seed picks the pending-line subset that survives the crash
+//! (`CrashPolicy::Random`).
 
-use gpm_sim::{Machine, MachineConfig};
+use gpm_sim::{CrashPolicy, Machine, MachineConfig};
 use gpm_workloads::{
     BfsParams, BfsWorkload, DbOp, DbParams, DbWorkload, KvsParams, KvsWorkload, PsParams,
-    PsWorkload, SradParams, SradWorkload,
+    PsWorkload, RecoveryOracle, SradParams, SradWorkload,
 };
 
 fn machine(seed: u64) -> Machine {
@@ -17,11 +19,10 @@ fn machine(seed: u64) -> Machine {
 fn gpkvs_recovers_from_mid_transaction_crashes() {
     for fuel in [37u64, 400, 3_000, 12_000] {
         for seed in [1u64, 99] {
-            let mut m = machine(seed);
-            let ok = KvsWorkload::new(KvsParams::quick())
-                .run_crash_injected(&mut m, fuel)
+            let v = KvsWorkload::new(KvsParams::quick())
+                .run_case(&mut Machine::default(), fuel, CrashPolicy::Random(seed))
                 .unwrap();
-            assert!(ok, "gpKVS fuel={fuel} seed={seed}: undo recovery failed");
+            assert!(v.passed(), "gpKVS fuel={fuel} seed={seed}: {v:?}");
         }
     }
 }
@@ -41,14 +42,10 @@ fn gpdb_recovers_both_query_types() {
 fn bfs_resumes_from_any_crash_point() {
     for fuel in [1_500u64, 9_000, 60_000, 400_000] {
         for seed in [2u64, 77] {
-            let mut m = machine(seed);
-            let r = BfsWorkload::new(BfsParams::quick())
-                .run_crash_resume(&mut m, fuel)
+            let v = BfsWorkload::new(BfsParams::quick())
+                .run_case(&mut Machine::default(), fuel, CrashPolicy::Random(seed))
                 .unwrap();
-            assert!(
-                r.verified,
-                "BFS fuel={fuel} seed={seed}: resumed costs diverge"
-            );
+            assert!(v.passed(), "BFS fuel={fuel} seed={seed}: {v:?}");
         }
     }
 }
@@ -56,22 +53,20 @@ fn bfs_resumes_from_any_crash_point() {
 #[test]
 fn srad_resumes_from_any_crash_point() {
     for fuel in [2_000u64, 15_000, 80_000] {
-        let mut m = machine(fuel);
-        let r = SradWorkload::new(SradParams::quick())
-            .run_crash_resume(&mut m, fuel)
+        let v = SradWorkload::new(SradParams::quick())
+            .run_case(&mut Machine::default(), fuel, CrashPolicy::Random(fuel))
             .unwrap();
-        assert!(r.verified, "SRAD fuel={fuel}: resumed image diverges");
+        assert!(v.passed(), "SRAD fuel={fuel}: {v:?}");
     }
 }
 
 #[test]
 fn prefix_sum_resumes_and_skips_completed_blocks() {
     for fuel in [900u64, 6_000, 30_000] {
-        let mut m = machine(fuel * 3);
-        let r = PsWorkload::new(PsParams::quick())
-            .run_crash_resume(&mut m, fuel)
+        let v = PsWorkload::new(PsParams::quick())
+            .run_case(&mut Machine::default(), fuel, CrashPolicy::Random(fuel * 3))
             .unwrap();
-        assert!(r.verified, "PS fuel={fuel}: resumed prefix sums wrong");
+        assert!(v.passed(), "PS fuel={fuel}: {v:?}");
     }
 }
 
@@ -105,10 +100,9 @@ fn many_seeds_many_outcomes_all_recover() {
     // different subsets (including all-applied and none-applied tails) are
     // exercised.
     for seed in 0..12u64 {
-        let mut m = machine(seed);
-        let ok = KvsWorkload::new(KvsParams::quick())
-            .run_crash_injected(&mut m, 1_000)
+        let v = KvsWorkload::new(KvsParams::quick())
+            .run_case(&mut Machine::default(), 1_000, CrashPolicy::Random(seed))
             .unwrap();
-        assert!(ok, "seed {seed}");
+        assert!(v.passed(), "seed {seed}: {v:?}");
     }
 }

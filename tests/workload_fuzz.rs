@@ -3,10 +3,10 @@
 //! defaults.
 
 use gpm_integration::{check, range};
-use gpm_sim::{Machine, MachineConfig};
+use gpm_sim::{CrashPolicy, Machine, MachineConfig};
 use gpm_workloads::{
     BfsParams, BfsWorkload, DbOp, DbParams, DbWorkload, KvsParams, KvsWorkload, Mode, PsParams,
-    PsWorkload, SradParams, SradWorkload,
+    PsWorkload, RecoveryOracle, SradParams, SradWorkload,
 };
 
 /// Half the runner's default budget: each case runs a whole workload.
@@ -145,11 +145,10 @@ fn kvs_crash_recovery_for_arbitrary_shapes() {
                 batches: 1,
                 ..KvsParams::default()
             };
-            let mut m = Machine::new(MachineConfig::default().with_seed(seed));
-            let ok = KvsWorkload::new(p)
-                .run_crash_injected(&mut m, fuel)
+            let v = KvsWorkload::new(p)
+                .run_case(&mut Machine::default(), fuel, CrashPolicy::Random(seed))
                 .unwrap();
-            assert!(ok, "ops=2^{ops_pow} fuel={fuel} seed={seed}");
+            assert!(v.passed(), "ops=2^{ops_pow} fuel={fuel} seed={seed}: {v:?}");
             Ok(())
         },
     );
