@@ -797,133 +797,36 @@ impl WarpCtx<'_> {
     // ---- vector memory operations -------------------------------------------
 
     /// One lockstep store of `N`-byte values: lane `i` stores `get(i)` at
-    /// `addr + i * stride`. Contiguous PM stores (`stride == N`) take the
-    /// batched single-call path; everything else issues per lane (same
-    /// accounting either way).
+    /// `addr + i * stride`. Packs the lanes' values into one buffer and
+    /// issues [`WarpCtx::st_bytes_lanes`].
     fn st_lanes<const N: usize>(
         &mut self,
         addr: Addr,
         stride: u64,
         get: impl Fn(usize) -> [u8; N],
     ) -> SimResult<()> {
-        self.op_seq += 1;
-        self.gauge.burn_lanes(self.lanes);
         let lanes = self.lanes as usize;
-        let total = (lanes * N) as u64;
-        match addr.space {
-            MemSpace::Pm => {
-                if stride == N as u64 {
-                    let mut buf = [0u8; WARP_BYTES];
-                    for i in 0..lanes {
-                        buf[i * N..(i + 1) * N].copy_from_slice(&get(i));
-                    }
-                    self.machine.gpu_store_pm_lanes(
-                        self.writer0,
-                        N as u32,
-                        addr.offset,
-                        &buf[..lanes * N],
-                    )?;
-                    self.scratch
-                        .group(self.op_seq)
-                        .record_write(addr.offset, total);
-                } else {
-                    for i in 0..lanes {
-                        let off = addr.offset + i as u64 * stride;
-                        self.machine
-                            .gpu_store_pm(self.writer0 + i as WriterId, off, &get(i))?;
-                        self.scratch.group(self.op_seq).record_write(off, N as u64);
-                    }
-                }
-                self.costs.pm_write_bytes += total;
-            }
-            MemSpace::Hbm | MemSpace::Dram => {
-                if stride == N as u64 {
-                    // Contiguous volatile span: one memory call. The
-                    // per-call `host_write` has no counters, so batching is
-                    // invisible to stats; byte totals are added below
-                    // exactly as the per-lane walk sums them.
-                    let mut buf = [0u8; WARP_BYTES];
-                    for i in 0..lanes {
-                        buf[i * N..(i + 1) * N].copy_from_slice(&get(i));
-                    }
-                    self.machine.host_write(addr, &buf[..lanes * N])?;
-                } else {
-                    for i in 0..lanes {
-                        let a = Addr {
-                            space: addr.space,
-                            offset: addr.offset + i as u64 * stride,
-                        };
-                        self.machine.host_write(a, &get(i))?;
-                    }
-                }
-                match addr.space {
-                    MemSpace::Hbm => self.costs.hbm_bytes += total,
-                    _ => self.costs.dram_bytes += total,
-                }
-            }
+        let mut buf = [0u8; WARP_BYTES];
+        for i in 0..lanes {
+            buf[i * N..(i + 1) * N].copy_from_slice(&get(i));
         }
-        Ok(())
+        self.st_bytes_lanes(addr, stride, N, &buf[..lanes * N])
     }
 
     /// One lockstep load of `N`-byte values: lane `i` loads from
-    /// `addr + i * stride` into `put(i, ..)`. Contiguous PM loads read the
-    /// whole span in one call.
+    /// `addr + i * stride` into `put(i, ..)`, through one
+    /// [`WarpCtx::ld_bytes_lanes`] into a packed buffer.
     fn ld_lanes<const N: usize>(
         &mut self,
         addr: Addr,
         stride: u64,
         mut put: impl FnMut(usize, [u8; N]),
     ) -> SimResult<()> {
-        self.op_seq += 1;
-        self.gauge.burn_lanes(self.lanes);
         let lanes = self.lanes as usize;
-        let total = (lanes * N) as u64;
-        match addr.space {
-            MemSpace::Pm => {
-                if stride == N as u64 {
-                    let mut buf = [0u8; WARP_BYTES];
-                    self.machine
-                        .gpu_load_pm(addr.offset, &mut buf[..lanes * N])?;
-                    for i in 0..lanes {
-                        put(i, buf[i * N..(i + 1) * N].try_into().unwrap());
-                    }
-                    self.scratch
-                        .group(self.op_seq)
-                        .record_read(addr.offset, total);
-                } else {
-                    for i in 0..lanes {
-                        let off = addr.offset + i as u64 * stride;
-                        let mut b = [0u8; N];
-                        self.machine.gpu_load_pm(off, &mut b)?;
-                        put(i, b);
-                        self.scratch.group(self.op_seq).record_read(off, N as u64);
-                    }
-                }
-                self.costs.pm_read_bytes += total;
-            }
-            MemSpace::Hbm | MemSpace::Dram => {
-                if stride == N as u64 {
-                    let mut buf = [0u8; WARP_BYTES];
-                    self.machine.read(addr, &mut buf[..lanes * N])?;
-                    for i in 0..lanes {
-                        put(i, buf[i * N..(i + 1) * N].try_into().unwrap());
-                    }
-                } else {
-                    for i in 0..lanes {
-                        let a = Addr {
-                            space: addr.space,
-                            offset: addr.offset + i as u64 * stride,
-                        };
-                        let mut b = [0u8; N];
-                        self.machine.read(a, &mut b)?;
-                        put(i, b);
-                    }
-                }
-                match addr.space {
-                    MemSpace::Hbm => self.costs.hbm_bytes += total,
-                    _ => self.costs.dram_bytes += total,
-                }
-            }
+        let mut buf = [0u8; WARP_BYTES];
+        self.ld_bytes_lanes(addr, stride, N, &mut buf[..lanes * N])?;
+        for i in 0..lanes {
+            put(i, buf[i * N..(i + 1) * N].try_into().unwrap());
         }
         Ok(())
     }

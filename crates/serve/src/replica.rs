@@ -27,11 +27,9 @@
 //! first-servable instant — is the failover number the bench reports.
 //! The in-flight batch was never acknowledged (semi-sync acks only after
 //! replica durability), so retrying it on the new primary keeps
-//! exactly-once intact.
-//!
-//! One deliberate limitation: the trace sink lives on the original
-//! primary's machine, so post-promotion events are not captured (the
-//! promotion event itself is the last one recorded).
+//! exactly-once intact. The trace sink follows the promotion: it moves
+//! from the dead primary's machine to the replica's right after the
+//! [`EventKind::FailoverPromote`] event, so one trace covers the whole run.
 
 use gpm_gpu::{FuelGauge, LaunchError};
 use gpm_sim::{EventKind, Ns, OracleVerdict, SimResult, Stats, TraceData};
@@ -310,6 +308,9 @@ impl ServeEngine for ReplicatedShard {
                 self.primary
                     .machine
                     .trace(EventKind::FailoverPromote { gap_ns: gap.0 });
+            }
+            if let Some(sink) = self.primary.machine.take_trace_sink() {
+                self.replica.machine.set_trace_sink(sink);
             }
             self.failover = Some(FailoverInfo {
                 at: t_crash,

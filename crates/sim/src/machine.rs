@@ -272,34 +272,22 @@ impl Machine {
 
     // ---- GPU-side PM access (over PCIe) -------------------------------------
 
-    /// A GPU store to PM. Under eADR the LLC is durable, so the write commits
-    /// to media at visibility; otherwise it is pending until a fence (DDIO
-    /// off) or a CPU flush (DDIO on) drains it.
+    /// A GPU store to PM: [`Machine::gpu_store_pm_lanes`] with one lane.
+    /// Under eADR the LLC is durable, so the write commits to media at
+    /// visibility; otherwise it is pending until a fence (DDIO off) or a CPU
+    /// flush (DDIO on) drains it.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::OutOfBounds`] if the range exceeds PM capacity.
     pub fn gpu_store_pm(&mut self, writer: WriterId, offset: u64, bytes: &[u8]) -> SimResult<()> {
-        self.stats.pm_write_bytes_gpu += bytes.len() as u64;
-        if self.cfg.persist_mode == PersistMode::Eadr {
-            self.stats.bytes_persisted += bytes.len() as u64;
-            if self.trace_enabled() {
-                self.trace(EventKind::EadrPersist {
-                    offset,
-                    bytes: bytes.len() as u64,
-                    gpu: true,
-                });
-            }
-            self.pm.write_durable(offset, bytes)
-        } else {
-            self.pm.write_visible(writer, offset, bytes)
-        }
+        self.gpu_store_pm_lanes(writer, bytes.len() as u32, offset, bytes)
     }
 
-    /// Batched [`Machine::gpu_store_pm`] for a warp's lockstep lanes: byte
-    /// `j` of `bytes` belongs to writer `writer0 + j / lane_bytes` (the
-    /// warp's lanes hold consecutive writer ids and store contiguously).
-    /// Counter-identical to the per-lane calls; under eADR it emits a single
+    /// GPU stores to PM by a warp's lockstep lanes: byte `j` of `bytes`
+    /// belongs to writer `writer0 + j / lane_bytes` (the warp's lanes hold
+    /// consecutive writer ids and store contiguously). Counter-identical to
+    /// the per-lane calls; under eADR it emits a single
     /// [`EventKind::EadrPersist`] covering the whole range, so callers
     /// needing per-lane events must store per lane (the execution engine
     /// falls back to per-lane execution when tracing).
@@ -332,59 +320,33 @@ impl Machine {
     }
 
     /// One coalesced GPU→PM write transaction on the PCIe bus: bumps the
-    /// transaction counter, classifies the access pattern (Figure 12), and
+    /// transaction counter, classifies the access pattern (Figure 12),
     /// accounts Optane block programs, and emits the
     /// [`EventKind::PcieWriteTxn`] event.
     pub fn gpu_pm_txn(&mut self, offset: u64, len: u64) {
         self.stats.pcie_write_txns += 1;
         self.gpu_pm_pattern.record(offset, len);
-        self.note_gpu_pm_txn(offset, len);
+        self.stats.pm_block_programs += blocks_touched(offset, len);
         if self.trace_enabled() {
             self.trace(EventKind::PcieWriteTxn { offset, bytes: len });
         }
     }
 
-    /// Accounts Optane block programs for a coalesced GPU write transaction
-    /// (called by the execution engine, which sees warp-level coalescing the
-    /// per-thread fence path cannot).
-    pub fn note_gpu_pm_txn(&mut self, offset: u64, len: u64) {
-        self.stats.pm_block_programs += blocks_touched(offset, len);
-    }
-
-    /// A GPU system-scope fence by `writer`: under ADR with DDIO disabled
-    /// this drains the writer's pending lines into media. With DDIO enabled
-    /// it provides visibility only (the GPM-NDP configuration). Returns the
-    /// number of lines made durable.
+    /// A GPU system-scope fence by `writer`: the one-lane
+    /// [`Machine::gpu_system_fence_lanes`]. Under ADR with DDIO disabled this
+    /// drains the writer's pending lines into media (or, under
+    /// [`PersistencyModel::Epoch`], closes them into the open epoch). With
+    /// DDIO enabled it provides visibility only (the GPM-NDP configuration).
+    /// Returns the number of lines made durable.
     pub fn gpu_system_fence(&mut self, writer: WriterId) -> u64 {
-        self.stats.system_fences += 1;
-        let lines = match self.cfg.persist_mode {
-            PersistMode::Eadr => 0,
-            PersistMode::Adr if !self.ddio_enabled => {
-                if self.persistency == PersistencyModel::Epoch {
-                    // Epoch persistency: the fence only orders the writer's
-                    // lines into the open epoch; the drain happens at the
-                    // epoch boundary ([`Machine::epoch_drain`]).
-                    self.pm.close_writer(writer);
-                    0
-                } else {
-                    let lines = self.pm.persist_writer(writer);
-                    self.stats.bytes_persisted += lines * crate::addr::CPU_LINE;
-                    lines
-                }
-            }
-            PersistMode::Adr => 0,
-        };
-        if self.trace_enabled() {
-            self.trace(EventKind::SystemFence { writer, lines });
-        }
-        lines
+        self.gpu_system_fence_lanes(writer, 1)
     }
 
-    /// Batched [`Machine::gpu_system_fence`] for a warp's lockstep lanes:
-    /// `lanes` fences by writers `writer0 .. writer0 + lanes`, counted
-    /// individually but drained (or epoch-closed) in one pending-table scan.
-    /// Lines shared between lanes drain once — exactly what sequential
-    /// per-lane fences would leave behind, reached in one pass.
+    /// System-scope fences by a warp's lockstep lanes: `lanes` fences by
+    /// writers `writer0 .. writer0 + lanes`, counted individually but drained
+    /// (or epoch-closed) in one pass over the pending lines. Lines shared
+    /// between lanes drain once — exactly what sequential per-lane fences
+    /// would leave behind, reached in one pass.
     ///
     /// Emits a single [`EventKind::SystemFence`] carrying the total; callers
     /// needing per-lane fence events must issue per-lane fences instead (the
@@ -395,6 +357,9 @@ impl Machine {
             PersistMode::Eadr => 0,
             PersistMode::Adr if !self.ddio_enabled => {
                 if self.persistency == PersistencyModel::Epoch {
+                    // Epoch persistency: the fence only orders the writers'
+                    // lines into the open epoch; the drain happens at the
+                    // epoch boundary ([`Machine::epoch_drain`]).
                     self.pm.close_writers_range(writer0, lanes);
                     0
                 } else {
@@ -667,11 +632,6 @@ impl Machine {
     /// Direct access to the PM device (tests, fine-grained inspection).
     pub fn pm(&self) -> &PmDevice {
         &self.pm
-    }
-
-    /// Mutable access to the PM device.
-    pub fn pm_mut(&mut self) -> &mut PmDevice {
-        &mut self.pm
     }
 }
 

@@ -487,6 +487,54 @@ fn failover_gap_is_identical_across_reruns() {
     assert_eq!(fingerprint(&first.outcome), fingerprint(&second.outcome));
 }
 
+/// The trace sink moves to the promoted replica with the failover: the
+/// killed shard's trace goes on past `FailoverPromote` with the new
+/// primary's kernels, on one clock that never runs backwards.
+#[test]
+fn trace_follows_the_promoted_replica() {
+    use gpm_serve::{run_replicated_cluster, KillPlan, ReplicationConfig};
+    use gpm_sim::EventKind;
+
+    let reqs = TrafficConfig {
+        n_requests: 3_000,
+        ..TrafficConfig::quick(17)
+    }
+    .generate();
+    let mut cfg = ClusterConfig::quick();
+    cfg.policy.max_batch = 128;
+    cfg.trace_events = Some(1 << 20);
+    let rep = ReplicationConfig {
+        kill: Some(KillPlan {
+            shard: 0,
+            at: reqs[reqs.len() / 2].arrival,
+            fuel: 40,
+        }),
+        ..ReplicationConfig::default()
+    };
+    let out = run_replicated_cluster(&cfg, &rep, &reqs).expect("replicated cluster run");
+    assert_eq!(out.failovers.len(), 1, "exactly one primary death injected");
+    let trace = out.outcome.shards[0]
+        .trace
+        .as_ref()
+        .expect("shard 0 was traced");
+    assert_eq!(trace.dropped_events, 0, "the ring holds the whole run");
+    let promote = trace
+        .events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::FailoverPromote { .. }))
+        .expect("the promotion is traced");
+    assert!(
+        trace.events[promote..]
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::KernelBegin { .. })),
+        "the promoted replica's kernels are traced"
+    );
+    assert!(
+        trace.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns),
+        "trace timestamps never go backwards"
+    );
+}
+
 /// A replica silently dropping one shipped log batch is divergence the
 /// serve consistency oracle must catch — this is the in-process face of
 /// the serve binary's `--inject-bug` self-test.
