@@ -44,8 +44,9 @@ serve-quick:
 # Scenario gate: every registered serve scenario (replication, failover,
 # resharding, and the hostile-traffic quartet) at quick scale, one JSON
 # file each, plus the two --inject-bug self-tests that prove the
-# consistency oracle catches fabric corruption. Mirrors CI's
-# serve-scenarios matrix on one machine.
+# consistency oracle catches fabric corruption. CI covers the same checks
+# through `serve --quick` (every scenario, oracle asserted, JSON byte-gated)
+# and the bin_contracts and scenario tests.
 serve-scenarios:
 	set -e; for s in $$($(RUN) serve -- --list-scenarios); do \
 	  $(RUN) serve -- --quick --scenario $$s --out scenario_$$s.json; \

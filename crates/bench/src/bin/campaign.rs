@@ -98,8 +98,8 @@ fn parse_args() -> Opts {
             "--max-points" => {
                 opts.max_points = Some(USAGE.parse(&mut args, "--max-points", "an integer"));
             }
-            "--out" => opts.out = USAGE.value(&mut args, "--out"),
-            "--trace" => opts.trace = Some(USAGE.value(&mut args, "--trace")),
+            "--out" => opts.out = USAGE.out_path(&mut args, "--out"),
+            "--trace" => opts.trace = Some(USAGE.out_path(&mut args, "--trace")),
             other => USAGE.fail(format!("unknown flag {other:?}")),
         }
     }
@@ -145,7 +145,7 @@ fn json_escape(s: &str) -> String {
 fn write_trace(path: &str, shards: &[(String, TraceData)], stats_bytes: u64) {
     let refs: Vec<(String, &TraceData)> = shards.iter().map(|(n, d)| (n.clone(), d)).collect();
     let json = chrome_trace_json(&refs, stats_bytes);
-    std::fs::write(path, &json).expect("write trace JSON");
+    USAGE.write(path, &json);
     let events: usize = shards.iter().map(|(_, d)| d.events.len()).sum();
     println!(
         "wrote {path} ({events} events over {} traced runs)",
@@ -401,7 +401,7 @@ fn main() {
     );
 
     let json = to_json(&reports, scale, &cfg, opts.double_recovery);
-    std::fs::write(&opts.out, &json).expect("write campaign JSON");
+    USAGE.write(&opts.out, &json);
     println!("wrote {}", opts.out);
     if let Some(path) = &opts.trace {
         write_trace(path, &traced, trace_bytes);

@@ -81,6 +81,11 @@ fn main() {
     if !list && !all && selected.is_none() {
         USAGE.fail("pick one of --list, --all or --workload <name>");
     }
+    if recover && mode != Mode::Gpm {
+        USAGE.fail(
+            "--recover measures GPM's restoration latency (Table 5); drop --mode or pass gpm",
+        );
+    }
     let mut workloads = suite(scale);
 
     if list {

@@ -70,9 +70,17 @@ fn parse_args() -> Opts {
             "--help" => USAGE.help(),
             "--quick" => opts.quick = true,
             "--seed" => opts.seed = USAGE.parse(&mut args, "--seed", "an integer"),
-            "--slo-us" => opts.slo_us = USAGE.parse(&mut args, "--slo-us", "a number"),
-            "--out" => opts.out = USAGE.value(&mut args, "--out"),
-            "--trace" => opts.trace = Some(USAGE.value(&mut args, "--trace")),
+            "--slo-us" => {
+                opts.slo_us = USAGE.parse(&mut args, "--slo-us", "a number");
+                if !opts.slo_us.is_finite() || opts.slo_us <= 0.0 {
+                    USAGE.fail(format!(
+                        "--slo-us needs a positive number, got {}",
+                        opts.slo_us
+                    ));
+                }
+            }
+            "--out" => opts.out = USAGE.out_path(&mut args, "--out"),
+            "--trace" => opts.trace = Some(USAGE.out_path(&mut args, "--trace")),
             "--persistency" => {
                 opts.persistency = match USAGE.value(&mut args, "--persistency").as_str() {
                     "strict" => PersistencyModel::Strict,
@@ -124,7 +132,7 @@ fn run_one_scenario(opts: &Opts) -> ! {
         opts.inject_bug,
         out.json,
     );
-    std::fs::write(&opts.out, &json).expect("write scenario JSON");
+    USAGE.write(&opts.out, &json);
     println!("wrote {} (scenario {})", opts.out, out.name);
     if let Some(v) = &out.oracle {
         println!("  oracle: {}", if v.passed() { "pass" } else { "FAIL" });
@@ -517,9 +525,7 @@ fn main() {
                 retries: out.retries,
                 batches: out.batches,
                 makespan: out.makespan,
-                cohorts: None,
-                journaled_events: 0,
-                shards: Vec::new(),
+                ..ClusterOutcome::default()
             },
         };
         let _ = writeln!(
@@ -585,7 +591,7 @@ fn main() {
     let _ = writeln!(json, "  \"knees\": [\n{knees}\n  ]");
     json.push_str("}\n");
 
-    std::fs::write(&opts.out, &json).expect("write serve JSON");
+    USAGE.write(&opts.out, &json);
     println!("wrote {}", opts.out);
 
     // Optional traced cluster run: one small deterministic cluster with a
@@ -612,7 +618,7 @@ fn main() {
             .collect();
         let events: usize = shard_traces.iter().map(|(_, d)| d.events.len()).sum();
         let trace_json = chrome_trace_json(&shard_traces, stats_bytes);
-        std::fs::write(path, &trace_json).expect("write trace JSON");
+        USAGE.write(path, &trace_json);
         println!(
             "wrote {path} ({events} events over {} shards, {stats_bytes} bytes persisted)",
             shard_traces.len()

@@ -1,8 +1,10 @@
 //! Command-line handling shared by the harness binaries: `--help` prints
 //! the usage to stdout and exits 0; a bad command line prints a one-line
-//! reason plus the usage to stderr and exits 2.
+//! reason plus the usage to stderr and exits 2; an output file that still
+//! cannot be written prints one line and exits 1.
 
 use std::fmt::Display;
+use std::path::Path;
 use std::str::FromStr;
 
 /// A binary's name and usage text.
@@ -46,5 +48,28 @@ impl Usage<'_> {
         let v = self.value(args, flag);
         v.parse()
             .unwrap_or_else(|_| self.fail(format!("{flag} needs {what}, got {v:?}")))
+    }
+
+    /// The output path following `flag`, or a usage error when its
+    /// directory does not exist, so a run never computes a result it
+    /// cannot write.
+    pub fn out_path(&self, args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+        let path = self.value(args, flag);
+        let dir = Path::new(&path)
+            .parent()
+            .filter(|d| !d.as_os_str().is_empty());
+        if dir.is_some_and(|d| !d.is_dir()) {
+            self.fail(format!("{flag}: the directory of {path:?} does not exist"));
+        }
+        path
+    }
+
+    /// Writes `contents` to `path`; a failed write prints one line and
+    /// exits 1.
+    pub fn write(&self, path: &str, contents: &str) {
+        if let Err(e) = std::fs::write(path, contents) {
+            eprintln!("{}: cannot write {path}: {e}", self.bin);
+            std::process::exit(1);
+        }
     }
 }

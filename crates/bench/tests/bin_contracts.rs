@@ -263,19 +263,47 @@ fn serve_inject_bug_exit_semantics() {
 }
 
 /// `--help` prints the usage to stdout and exits 0; an unknown flag, a
-/// missing value or a malformed value prints a one-line reason plus the
-/// usage to stderr and exits 2 — never a panic, and never after starting
-/// the run: no `reports/` appears in the working directory.
+/// missing value, a malformed or out-of-range value, an output path in a
+/// missing directory or a flag combination the binary cannot run prints a
+/// one-line reason plus the usage to stderr and exits 2 — never a panic,
+/// and never after starting the run: no `reports/` and no `BENCH_*.json`
+/// appears in the working directory.
 #[test]
 fn help_exits_zero_and_bad_input_exits_two() {
-    let bins: [(&str, Option<&str>); 5] = [
-        (env!("CARGO_BIN_EXE_serve"), Some("--seed")),
-        (env!("CARGO_BIN_EXE_campaign"), Some("--fuel")),
-        (env!("CARGO_BIN_EXE_gpmbench"), Some("--mode")),
-        (env!("CARGO_BIN_EXE_table5"), None),
-        (env!("CARGO_BIN_EXE_reproduce"), None),
+    let bins: [(&str, &[&[&str]]); 5] = [
+        (
+            env!("CARGO_BIN_EXE_serve"),
+            &[
+                &["--seed"],
+                &["--seed", "x"],
+                &["--slo-us", "nan"],
+                &["--slo-us", "0"],
+                &["--slo-us", "-5"],
+                &["--quick", "--out", "missing/BENCH_serve.json"],
+                &["--quick", "--trace", "missing/trace.json"],
+            ],
+        ),
+        (
+            env!("CARGO_BIN_EXE_campaign"),
+            &[
+                &["--fuel"],
+                &["--fuel", "x"],
+                &["--quick", "--out", "missing/BENCH_campaign.json"],
+                &["--quick", "--trace", "missing/trace.json"],
+            ],
+        ),
+        (
+            env!("CARGO_BIN_EXE_gpmbench"),
+            &[
+                &["--mode"],
+                &["--mode", "x"],
+                &["--workload", "gpKVS", "--recover", "--mode", "cap-fs"],
+            ],
+        ),
+        (env!("CARGO_BIN_EXE_table5"), &[]),
+        (env!("CARGO_BIN_EXE_reproduce"), &[]),
     ];
-    for (exe, value_flag) in bins {
+    for (exe, bad_args) in bins {
         let name = Path::new(exe).file_stem().unwrap().to_str().unwrap();
         let cwd = temp_path(&format!("cwd_{name}"));
         let _ = std::fs::remove_dir_all(&cwd);
@@ -293,12 +321,10 @@ fn help_exits_zero_and_bad_input_exits_two() {
         let stdout = String::from_utf8(help.stdout).unwrap();
         assert!(stdout.starts_with(&format!("usage: {name}")), "{stdout}");
 
-        let mut bad: Vec<Vec<&str>> = vec![vec!["--bogus"]];
-        if let Some(flag) = value_flag {
-            bad.extend([vec![flag], vec![flag, "x"]]);
-        }
+        let mut bad: Vec<&[&str]> = vec![&["--bogus"]];
+        bad.extend(bad_args);
         for args in bad {
-            let out = run(&args);
+            let out = run(args);
             assert_eq!(out.status.code(), Some(2), "{name} {args:?}");
             let stderr = String::from_utf8(out.stderr).unwrap();
             let mut lines = stderr.lines();
@@ -312,6 +338,20 @@ fn help_exits_zero_and_bad_input_exits_two() {
         assert!(
             !cwd.join("reports").exists(),
             "{name} wrote reports/ before rejecting its command line"
+        );
+        let bench_files: Vec<String> = std::fs::read_dir(&cwd)
+            .expect("list temp cwd")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .filter(|f| f.starts_with("BENCH_"))
+            .collect();
+        assert!(
+            bench_files.is_empty(),
+            "{name} wrote {bench_files:?} before rejecting its command line"
         );
     }
 }

@@ -48,14 +48,22 @@
 //! outstanding tag at once — stale descriptors simply stop matching — so a
 //! batch costs one 8-byte durable header write, not a scan of the area.
 //!
+//! ## Batches
+//!
+//! [`DetectTxn`] pairs the area with a persistent [`TxnFlag`]: the flag
+//! says which batch is in flight, the epoch tags its operations, and
+//! [`DetectTxn::enter`] holds the one rule that tells a fresh batch from a
+//! resubmitted one.
+//!
 //! [`GpmThreadExt::gpm_persist_sync`]: crate::GpmThreadExt::gpm_persist_sync
 
 use gpm_gpu::ThreadCtx;
 use gpm_sim::cpu::CpuCtx;
-use gpm_sim::{Addr, Machine, SimResult};
+use gpm_sim::{Addr, Machine, SimError, SimResult};
 
 use crate::error::{CoreError, CoreResult};
 use crate::map::{gpm_map, GpmRegion};
+use crate::txn::TxnFlag;
 
 /// Magic identifying an initialized descriptor area.
 const MAGIC: u32 = 0x6770_6474; // "gpdt"
@@ -208,6 +216,51 @@ impl DetectArea {
     pub fn host_tag(&self, machine: &Machine, slot: u64) -> CoreResult<u64> {
         debug_assert!(slot < self.slots);
         Ok(machine.read_u64(Addr::pm(self.region.offset + HEADER + slot * 8))?)
+    }
+}
+
+/// The durable bracket of a detectable batch: the transaction flag that
+/// names the batch in flight (`seq + 1`, 0 when idle) and the descriptor
+/// area whose epoch tags the batch's operations.
+#[derive(Debug)]
+pub struct DetectTxn {
+    /// The persistent transaction flag.
+    pub flag: TxnFlag,
+    /// The descriptor area.
+    pub area: DetectArea,
+}
+
+impl DetectTxn {
+    /// Creates (or reopens) `{prefix}/flag`, then a descriptor area of
+    /// `slots` slots at `{prefix}/detect`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on PM exhaustion or a bad slot count.
+    pub fn create(machine: &mut Machine, prefix: &str, slots: u64) -> SimResult<DetectTxn> {
+        let flag = TxnFlag::create(machine, &format!("{prefix}/flag"))?;
+        let area = detect_create(machine, &format!("{prefix}/detect"), slots)
+            .map_err(|_| SimError::Invalid("failed to create a descriptor area"))?;
+        Ok(DetectTxn { flag, area })
+    }
+
+    /// Opens batch `seq` and returns the epoch its tags use. A flag still
+    /// armed for this very `seq` means the caller is resubmitting a
+    /// crashed batch: the epoch minted before the crash is reused, so the
+    /// descriptors written then keep matching. Otherwise the flag is armed
+    /// and the epoch advanced.
+    ///
+    /// # Errors
+    ///
+    /// Propagates platform errors.
+    pub fn enter(&self, machine: &mut Machine, seq: u64) -> SimResult<u64> {
+        let epoch = if self.flag.active(machine)? == seq + 1 {
+            self.area.epoch(machine)
+        } else {
+            self.flag.begin(machine, seq + 1)?;
+            self.area.begin_epoch(machine)
+        };
+        epoch.map_err(|_| SimError::Invalid("detect epoch update failed"))
     }
 }
 

@@ -63,7 +63,7 @@ pub use checkpoint::{
     gpmcp_checkpoint, gpmcp_checkpoint_gauged, gpmcp_close, gpmcp_create, gpmcp_fill_working,
     gpmcp_open, gpmcp_publish, gpmcp_register, gpmcp_restore, GpmCheckpoint, Registration,
 };
-pub use detect::{detect_create, op_tag, DetectArea, DetectDev, DetectableCas};
+pub use detect::{detect_create, op_tag, DetectArea, DetectDev, DetectTxn, DetectableCas};
 pub use error::{CoreError, CoreResult};
 pub use log::{
     gpmlog_close, gpmlog_create_conv, gpmlog_create_hcl, gpmlog_create_hcl_unstriped, gpmlog_open,

@@ -108,11 +108,6 @@ impl ThreadId {
     pub fn warp_in_block(&self) -> u32 {
         self.thread / WARP_SIZE
     }
-
-    /// Globally unique warp index.
-    pub fn warp_global(&self, cfg: &LaunchConfig) -> u64 {
-        self.block as u64 * cfg.warps_per_block() as u64 + self.warp_in_block() as u64
-    }
 }
 
 /// A 2-D launch shape, linearized onto the engine's 1-D grid
@@ -237,7 +232,6 @@ mod tests {
         assert_eq!(t.global(&cfg), 2 * 128 + 70);
         assert_eq!(t.lane(), 6);
         assert_eq!(t.warp_in_block(), 2);
-        assert_eq!(t.warp_global(&cfg), 2 * 4 + 2);
     }
 
     #[test]

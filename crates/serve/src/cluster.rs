@@ -12,7 +12,7 @@ use gpm_workloads::{
 
 use crate::request::{Op, Request};
 use crate::router::Router;
-use crate::scheduler::{serve_shard, BatchPolicy, FaultPlan, ShardReport};
+use crate::scheduler::{serve_engine, BatchPolicy, FaultPlan, ShardReport};
 use crate::shard::Shard;
 
 /// Which workload the shards serve.
@@ -83,8 +83,9 @@ impl ClusterConfig {
     }
 }
 
-/// Merged outcome of one cluster run.
-#[derive(Debug)]
+/// Merged outcome of one cluster run. [`Default`] is the empty cluster;
+/// [`absorb`](ClusterOutcome::absorb) folds in one shard's report.
+#[derive(Debug, Default)]
 pub struct ClusterOutcome {
     /// Latency distribution merged over all shards.
     pub hist: LatencyHistogram,
@@ -111,6 +112,20 @@ pub struct ClusterOutcome {
 }
 
 impl ClusterOutcome {
+    /// Folds one shard's report into the cluster: merges its latency
+    /// histogram, adds its counters, extends the makespan to its end and
+    /// keeps the report.
+    pub fn absorb(&mut self, report: ShardReport) {
+        self.hist.merge(&report.hist);
+        self.offered += report.offered;
+        self.completed += report.completed;
+        self.shed += report.shed;
+        self.retries += report.retries;
+        self.batches += report.batches;
+        self.makespan = self.makespan.max(report.end);
+        self.shards.push(report);
+    }
+
     /// Fraction of offered requests shed.
     pub fn shed_rate(&self) -> f64 {
         if self.offered == 0 {
@@ -144,18 +159,7 @@ impl ClusterOutcome {
 pub fn run_cluster(cfg: &ClusterConfig, requests: &[Request]) -> SimResult<ClusterOutcome> {
     let router = Router::new(cfg.shards);
     let streams = router.partition(requests);
-    let mut outcome = ClusterOutcome {
-        hist: LatencyHistogram::new(),
-        offered: 0,
-        completed: 0,
-        shed: 0,
-        retries: 0,
-        batches: 0,
-        makespan: Ns::ZERO,
-        cohorts: None,
-        journaled_events: 0,
-        shards: Vec::with_capacity(streams.len()),
-    };
+    let mut outcome = ClusterOutcome::default();
     for stream in &streams {
         let mut shard = match cfg.backend {
             BackendKind::Kvs => {
@@ -217,7 +221,7 @@ pub fn run_cluster(cfg: &ClusterConfig, requests: &[Request]) -> SimResult<Clust
             // delta) covers exactly the serve phase.
             shard.machine.set_trace_sink(Box::new(RingSink::new(cap)));
         }
-        let report = serve_shard(&mut shard, stream, &cfg.policy, &cfg.faults)?;
+        let report = serve_engine(&mut shard, stream, &cfg.policy, &cfg.faults)?;
         if let Some(c) = shard.cohort_stats()? {
             let agg = outcome.cohorts.get_or_insert(CohortStats::default());
             agg.users += c.users;
@@ -227,14 +231,7 @@ pub fn run_cluster(cfg: &ClusterConfig, requests: &[Request]) -> SimResult<Clust
             agg.matched += c.matched;
         }
         outcome.journaled_events += shard.journaled_events();
-        outcome.hist.merge(&report.hist);
-        outcome.offered += report.offered;
-        outcome.completed += report.completed;
-        outcome.shed += report.shed;
-        outcome.retries += report.retries;
-        outcome.batches += report.batches;
-        outcome.makespan = outcome.makespan.max(report.end);
-        outcome.shards.push(report);
+        outcome.absorb(report);
     }
     Ok(outcome)
 }

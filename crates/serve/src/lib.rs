@@ -54,5 +54,5 @@ pub use request::{acked_sets, Op, Request, RequestId, Response, Verdict};
 pub use reshard::{run_resharded_cluster, ReshardOutcome, ReshardPlan};
 pub use router::Router;
 pub use scenario::{run_scenario, scenario_names, ScenarioOutcome};
-pub use scheduler::{serve_engine, serve_shard, BatchPolicy, FaultPlan, ServeEngine, ShardReport};
+pub use scheduler::{serve_engine, BatchPolicy, FaultPlan, ServeEngine, ShardReport};
 pub use shard::Shard;

@@ -33,7 +33,7 @@
 
 use gpm_gpu::{FuelGauge, LaunchError};
 use gpm_sim::{EventKind, Ns, OracleVerdict, SimResult, Stats, TraceData};
-use gpm_workloads::{KvsParams, LatencyHistogram, Mode, ServeConsistency};
+use gpm_workloads::{KvsParams, Mode, ServeConsistency};
 
 use crate::cluster::{ClusterConfig, ClusterOutcome};
 use crate::request::{acked_sets, Request};
@@ -375,18 +375,7 @@ pub fn run_replicated_cluster(
 ) -> SimResult<ReplicatedOutcome> {
     let router = Router::new(cfg.shards);
     let streams = router.partition(requests);
-    let mut outcome = ClusterOutcome {
-        hist: LatencyHistogram::new(),
-        offered: 0,
-        completed: 0,
-        shed: 0,
-        retries: 0,
-        batches: 0,
-        makespan: Ns::ZERO,
-        cohorts: None,
-        journaled_events: 0,
-        shards: Vec::with_capacity(streams.len()),
-    };
+    let mut outcome = ClusterOutcome::default();
     let mut oracle = OracleVerdict::Pass;
     let mut acked_writes = 0u64;
     let mut failovers = Vec::new();
@@ -442,14 +431,7 @@ pub fn run_replicated_cluster(
             log_ship.bytes += s.bytes;
             log_ship.dropped += s.dropped;
         }
-        outcome.hist.merge(&report.hist);
-        outcome.offered += report.offered;
-        outcome.completed += report.completed;
-        outcome.shed += report.shed;
-        outcome.retries += report.retries;
-        outcome.batches += report.batches;
-        outcome.makespan = outcome.makespan.max(report.end);
-        outcome.shards.push(report);
+        outcome.absorb(report);
     }
     Ok(ReplicatedOutcome {
         outcome,

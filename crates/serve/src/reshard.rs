@@ -35,12 +35,12 @@
 
 use gpm_gpu::FuelGauge;
 use gpm_sim::{EventKind, Ns, OracleVerdict, SimResult};
-use gpm_workloads::{KvsParams, LatencyHistogram, ServeConsistency, SLOT_BYTES};
+use gpm_workloads::{KvsParams, ServeConsistency, SLOT_BYTES};
 
 use crate::cluster::{ClusterConfig, ClusterOutcome};
 use crate::request::{acked_sets, Op, Request};
 use crate::router::Router;
-use crate::scheduler::serve_shard;
+use crate::scheduler::serve_engine;
 use crate::shard::Shard;
 
 /// One elastic-resharding run's shape.
@@ -131,34 +131,13 @@ pub fn run_resharded_cluster(
     let split = requests.partition_point(|r| r.arrival < plan.cutover);
     let (phase1, phase2) = requests.split_at(split);
 
-    let mut outcome = ClusterOutcome {
-        hist: LatencyHistogram::new(),
-        offered: 0,
-        completed: 0,
-        shed: 0,
-        retries: 0,
-        batches: 0,
-        makespan: Ns::ZERO,
-        cohorts: None,
-        journaled_events: 0,
-        shards: Vec::new(),
-    };
-    let merge = |outcome: &mut ClusterOutcome, report: crate::scheduler::ShardReport| {
-        outcome.hist.merge(&report.hist);
-        outcome.offered += report.offered;
-        outcome.completed += report.completed;
-        outcome.shed += report.shed;
-        outcome.retries += report.retries;
-        outcome.batches += report.batches;
-        outcome.makespan = outcome.makespan.max(report.end);
-        outcome.shards.push(report);
-    };
+    let mut outcome = ClusterOutcome::default();
 
     // Phase 1: old layout.
     let streams_a = router_a.partition(phase1);
     let mut migration_start = Ns::ZERO;
     for (s, stream) in streams_a.iter().enumerate() {
-        let report = serve_shard(&mut shards[s], stream, &cfg.policy, &cfg.faults)?;
+        let report = serve_engine(&mut shards[s], stream, &cfg.policy, &cfg.faults)?;
         // Feed the audit: an acked write's key lives, after migration, at
         // its *new* owner — record it there (last write wins in response
         // order, which is apply order under FIFO batching).
@@ -166,7 +145,7 @@ pub fn run_resharded_cluster(
             ledgers[router_b.route_key(key)].acked_set(key, value);
         }
         migration_start = migration_start.max(report.end);
-        merge(&mut outcome, report);
+        outcome.absorb(report);
     }
 
     // Migration at the quiesce barrier: scan each source, ship every
@@ -232,8 +211,10 @@ pub fn run_resharded_cluster(
                         }
                     })?;
             }
+            // Migrated entries were acked at their new owner in phase 1:
+            // they reach the audit's model again, not its acked set.
             for &(k, v) in batch {
-                ledgers[t].acked_set(k, v);
+                ledgers[t].apply_set(k, v);
             }
         }
         keys_moved += moved.len() as u64;
@@ -246,11 +227,11 @@ pub fn run_resharded_cluster(
     // barrier).
     let streams_b = router_b.partition(phase2);
     for (s, stream) in streams_b.iter().enumerate() {
-        let report = serve_shard(&mut shards[s], stream, &cfg.policy, &cfg.faults)?;
+        let report = serve_engine(&mut shards[s], stream, &cfg.policy, &cfg.faults)?;
         for (key, value) in acked_sets(stream, &report.responses)? {
             ledgers[s].acked_set(key, value);
         }
-        merge(&mut outcome, report);
+        outcome.absorb(report);
     }
 
     // Audit every final shard's PM image against its expected table.
@@ -322,6 +303,21 @@ mod tests {
             out.keys_moved,
             out.acked_writes
         );
+        // Each PUT answered `Done` is one acknowledged write; migration
+        // re-applies entries but acknowledges nothing.
+        let puts: std::collections::HashSet<u64> = reqs
+            .iter()
+            .filter(|r| matches!(r.op, Op::Put { .. }))
+            .map(|r| r.id)
+            .collect();
+        let acked_puts = out
+            .outcome
+            .shards
+            .iter()
+            .flat_map(|r| &r.responses)
+            .filter(|resp| resp.is_done() && puts.contains(&resp.id))
+            .count() as u64;
+        assert_eq!(out.acked_writes, acked_puts);
     }
 
     #[test]

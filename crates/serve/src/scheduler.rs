@@ -32,9 +32,8 @@
 //!    [`LatencyHistogram`].
 //!
 //! The loop itself is engine-agnostic: [`serve_engine`] drives anything
-//! implementing [`ServeEngine`] (a plain [`Shard`], a
-//! [`ReplicatedShard`](crate::replica::ReplicatedShard) pair);
-//! [`serve_shard`] is the single-shard entry point existing callers use.
+//! implementing [`ServeEngine`] (a plain [`Shard`](crate::shard::Shard), a
+//! [`ReplicatedShard`](crate::replica::ReplicatedShard) pair).
 
 use std::collections::VecDeque;
 
@@ -44,7 +43,6 @@ use gpm_workloads::LatencyHistogram;
 
 use crate::replica::{FailoverInfo, LogShipStats};
 use crate::request::{Request, Response, Verdict};
-use crate::shard::Shard;
 
 /// Batching and admission policy for one shard.
 #[derive(Debug, Clone, Copy)]
@@ -109,7 +107,7 @@ impl FaultPlan {
 
 /// What the serving loop drives: a clocked engine that applies request
 /// batches through the kernel-launch path. Implemented by a plain
-/// [`Shard`] and by the primary/replica
+/// [`Shard`](crate::shard::Shard) and by the primary/replica
 /// [`ReplicatedShard`](crate::replica::ReplicatedShard) pair, so the
 /// admission/batching/retry logic exists exactly once.
 pub trait ServeEngine {
@@ -232,26 +230,6 @@ impl ShardReport {
             self.shed as f64 / self.offered as f64
         }
     }
-}
-
-/// Runs one shard's serving loop over its (time-ordered) request stream.
-///
-/// # Errors
-///
-/// Fails if a batch still crashes after [`BatchPolicy::max_retries`]
-/// recoveries, or on functional platform errors.
-///
-/// # Panics
-///
-/// Panics if `requests` is not sorted by arrival time or the policy has a
-/// zero batch size.
-pub fn serve_shard(
-    shard: &mut Shard,
-    requests: &[Request],
-    policy: &BatchPolicy,
-    faults: &FaultPlan,
-) -> SimResult<ShardReport> {
-    serve_engine(shard, requests, policy, faults)
 }
 
 /// Runs the serving loop over any [`ServeEngine`] — the one copy of the
@@ -473,6 +451,7 @@ mod tests {
     use super::*;
     use crate::arrival::TrafficConfig;
     use crate::request::Op;
+    use crate::shard::Shard;
     use gpm_workloads::{KvsParams, Mode};
 
     fn kvs_shard() -> Shard {
@@ -483,7 +462,7 @@ mod tests {
     fn every_request_gets_a_response() {
         let reqs = TrafficConfig::quick(1).generate();
         let mut shard = kvs_shard();
-        let r = serve_shard(
+        let r = serve_engine(
             &mut shard,
             &reqs,
             &BatchPolicy::default(),
@@ -510,7 +489,7 @@ mod tests {
             ..BatchPolicy::default()
         };
         let mut shard = kvs_shard();
-        let r = serve_shard(&mut shard, &cfg.generate(), &policy, &FaultPlan::default()).unwrap();
+        let r = serve_engine(&mut shard, &cfg.generate(), &policy, &FaultPlan::default()).unwrap();
         assert!(r.shed > 0, "overload must shed");
         assert!(r.shed_rate() > 0.3, "shed rate {}", r.shed_rate());
         let overloaded = r
@@ -541,7 +520,7 @@ mod tests {
             ..BatchPolicy::default()
         };
         let mut shard = kvs_shard();
-        let r = serve_shard(&mut shard, &reqs, &policy, &FaultPlan::default()).unwrap();
+        let r = serve_engine(&mut shard, &reqs, &policy, &FaultPlan::default()).unwrap();
         assert_eq!(r.completed, 8);
         // Every latency is at least the linger the head waited, and far
         // below the 1 ms inter-arrival gap.
@@ -563,7 +542,7 @@ mod tests {
             crash_fuel: 50,
         };
         let mut shard = kvs_shard();
-        let r = serve_shard(&mut shard, &reqs, &BatchPolicy::default(), &faults).unwrap();
+        let r = serve_engine(&mut shard, &reqs, &BatchPolicy::default(), &faults).unwrap();
         assert!(r.retries > 0, "fault plan must trigger retries");
         assert_eq!(
             r.completed + r.shed,

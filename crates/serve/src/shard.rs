@@ -10,12 +10,11 @@
 //!
 //! * [`Shard::new_kvs`] / [`Shard::new_db`] — a fresh machine with a
 //!   freshly set-up instance.
-//! * [`Shard::boot_kvs`] / [`Shard::boot_db`] — **boot over an existing
-//!   machine image**, possibly one that crashed mid-batch. Boot always
-//!   replays the workload's recovery path (undo/rollback, idempotent on a
-//!   clean image) and rebuilds the volatile HBM mirror *before* the shard
-//!   admits any traffic, so the first admitted GET already observes every
-//!   pre-crash committed PUT.
+//! * [`Shard::boot_kvs`] — **boot over an existing machine image**,
+//!   possibly one that crashed mid-batch. Boot always replays rollback
+//!   recovery (idempotent on a clean image) and rebuilds the volatile HBM
+//!   mirror *before* the shard admits any traffic, so the first admitted
+//!   GET already observes every pre-crash committed PUT.
 
 use gpm_gpu::{FuelGauge, LaunchError};
 use gpm_sim::{Machine, Ns, SimError, SimResult};
@@ -112,7 +111,7 @@ impl Shard {
     ) -> SimResult<Shard> {
         let t0 = machine.clock.now();
         workload.recover(&mut machine, &st)?;
-        workload.rebuild_mirror(&mut machine, &st)?;
+        st.store().rebuild_mirror(&mut machine)?;
         let recovery = machine.clock.now() - t0;
         Ok(Shard {
             machine,
@@ -139,32 +138,6 @@ impl Shard {
             mode,
             seq: 0,
             recovery: None,
-        })
-    }
-
-    /// Boots a gpDB shard over an existing machine image: replays
-    /// recovery (metadata rollback / undo drain) and resumes from the
-    /// durable row count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates recovery errors.
-    pub fn boot_db(
-        mut machine: Machine,
-        workload: DbWorkload,
-        st: DbState,
-        mode: Mode,
-    ) -> SimResult<Shard> {
-        let t0 = machine.clock.now();
-        workload.recover(&mut machine, &st)?;
-        let rows = st.durable_rows(&machine)?;
-        let recovery = machine.clock.now() - t0;
-        Ok(Shard {
-            machine,
-            backend: Backend::Db { workload, st, rows },
-            mode,
-            seq: 0,
-            recovery: Some(recovery),
         })
     }
 
@@ -436,8 +409,8 @@ impl Shard {
     /// publish). gpDB insert shards instead replay metadata rollback —
     /// for inserts, rolling the row count back *is* the retry preparation,
     /// since re-inserting from the durable count is idempotent. Boot
-    /// ([`Shard::boot_kvs`] / [`Shard::boot_db`]) keeps full rollback
-    /// recovery; the two disciplines are mutually exclusive per crash.
+    /// ([`Shard::boot_kvs`]) keeps full rollback recovery; the two
+    /// disciplines are mutually exclusive per crash.
     ///
     /// # Errors
     ///
@@ -445,8 +418,8 @@ impl Shard {
     pub fn recover_in_place(&mut self) -> SimResult<Ns> {
         let t0 = self.machine.clock.now();
         match &mut self.backend {
-            Backend::Kvs { workload, st } => {
-                workload.recover_for_retry(&mut self.machine, st)?;
+            Backend::Kvs { st, .. } => {
+                st.store().recover_for_retry(&mut self.machine)?;
             }
             Backend::Db { workload, st, rows } => {
                 if workload.params.op == DbOp::Update {
@@ -456,20 +429,14 @@ impl Shard {
                 }
                 *rows = st.durable_rows(&self.machine)?;
             }
-            Backend::Analytics { workload, st, .. } => {
-                workload.recover_for_retry(&mut self.machine, st)?;
+            Backend::Analytics { st, .. } => {
+                st.store().recover_for_retry(&mut self.machine)?;
             }
-            Backend::Mixed {
-                kvs,
-                kvs_st,
-                analytics,
-                an_st,
-                ..
-            } => {
+            Backend::Mixed { kvs_st, an_st, .. } => {
                 // Both tenants prepare for retry; each path is idempotent
                 // on a tenant whose leg never started or already committed.
-                kvs.recover_for_retry(&mut self.machine, kvs_st)?;
-                analytics.recover_for_retry(&mut self.machine, an_st)?;
+                kvs_st.store().recover_for_retry(&mut self.machine)?;
+                an_st.store().recover_for_retry(&mut self.machine)?;
             }
         }
         Ok(self.machine.clock.now() - t0)

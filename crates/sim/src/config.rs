@@ -67,10 +67,7 @@ pub struct MachineConfig {
     // ---- GPU --------------------------------------------------------------
     /// Number of streaming multiprocessors (Titan RTX: 72). `[Table 3]`
     pub sm_count: u32,
-    /// Maximum concurrently-resident threads per SM used for latency hiding.
-    pub threads_per_sm: u32,
-    /// CUDA cores per SM (Turing: 64): bounds compute *throughput*, while
-    /// resident threads bound latency hiding.
+    /// CUDA cores per SM (Turing: 64): bounds compute throughput.
     pub cuda_cores_per_sm: u32,
     /// Fixed cost of launching a kernel (driver + dispatch).
     pub kernel_launch_overhead: Ns,
@@ -179,7 +176,6 @@ impl Default for MachineConfig {
             hbm_capacity: 512 << 20,
 
             sm_count: 72,
-            threads_per_sm: 1024,
             cuda_cores_per_sm: 64,
             kernel_launch_overhead: Ns::from_micros(5.0),
             hbm_bw: 550.0,
@@ -277,12 +273,6 @@ impl MachineConfig {
         n * (1.0 + k) / (n + k)
     }
 
-    /// Maximum number of GPU threads the device keeps resident for latency
-    /// hiding.
-    pub fn max_resident_threads(&self) -> u32 {
-        self.sm_count * self.threads_per_sm
-    }
-
     /// Number of thread contexts executing compute simultaneously (CUDA
     /// cores across all SMs).
     pub fn total_cuda_cores(&self) -> u32 {
@@ -366,12 +356,6 @@ mod tests {
         assert!((t2.0 - 2.0 * t1.0).abs() < 1e-6);
         // 1 GiB at 1 GB/s ≈ 1.07 s.
         assert!((MachineConfig::transfer_time(1 << 30, 1.0).as_secs() - 1.073).abs() < 0.01);
-    }
-
-    #[test]
-    fn resident_threads() {
-        let cfg = MachineConfig::default();
-        assert_eq!(cfg.max_resident_threads(), 72 * 1024);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 
 use crate::addr::OPTANE_BLOCK;
 use crate::config::MachineConfig;
-use crate::time::Ns;
 
 /// The three bandwidth classes of Optane accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,11 +127,6 @@ impl PatternTracker {
         self.bytes[pat as usize]
     }
 
-    /// Total transactions recorded in the given class.
-    pub fn txns_in(&self, pat: AccessPattern) -> u64 {
-        self.txns[pat as usize]
-    }
-
     /// Total bytes recorded across all classes.
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().sum()
@@ -164,11 +158,6 @@ impl PatternTracker {
             .map(|(&b, bw)| b as f64 / bw)
             .sum();
         total as f64 / time
-    }
-
-    /// Time to drain the recorded bytes into the NVDIMMs.
-    pub fn drain_time(&self, cfg: &MachineConfig) -> Ns {
-        Ns(self.total_bytes() as f64 / self.effective_bandwidth(cfg))
     }
 
     /// Merges another tracker's counts into this one (stream state is not
@@ -306,7 +295,6 @@ mod tests {
     fn empty_tracker_defaults_to_peak() {
         let t = PatternTracker::new();
         assert_eq!(t.effective_bandwidth(&cfg()), cfg().pm_bw_seq_aligned);
-        assert!(t.drain_time(&cfg()).is_zero());
     }
 
     #[test]

@@ -31,9 +31,11 @@
 //!    crash-and-retry, which the campaign's `--double-recovery` oracle
 //!    verifies.
 //!
-//! Rollback recovery (the undo-log drain of Figure 6b) remains available
-//! for boot-time recovery; retry recovery is a mirror rebuild only. The
-//! valid journal prefix is defined by the embedding system's committed
+//! The session store, its mirror, the batch transaction and the undo log
+//! form one [`ShardStore`], the same store gpKVS runs on: it commits each
+//! batch and recovers a crash by retry (a mirror rebuild only) or by
+//! rollback (the undo-log drain of Figure 6b, kept for boot-time recovery).
+//! The valid journal prefix is defined by the embedding system's committed
 //! sequence number (closed loop: committed batches × batch size; a serving
 //! shard tracks the same watermark), so a torn in-flight append past the
 //! watermark is dead data, not corruption.
@@ -55,22 +57,19 @@
 use std::collections::HashMap;
 
 use gpm_core::{
-    detect_create, gpm_map, gpm_persist_begin, gpm_persist_end, gpmlog_create_hcl, op_tag,
-    DetectArea, GpmLog, GpmThreadExt, GpmWarpExt, TxnFlag,
+    gpm_map, gpm_persist_begin, gpm_persist_end, op_tag, DetectTxn, GpmThreadExt, GpmWarpExt,
 };
 use gpm_gpu::{
     launch_with_gauge, FnKernel, FuelGauge, Kernel, LaunchConfig, LaunchError, ThreadCtx, WarpCtx,
 };
-use gpm_sim::{
-    Addr, CrashPolicy, CrashSchedule, EventKind, Machine, Ns, OracleVerdict, SimError, SimResult,
-};
+use gpm_sim::{Addr, CrashPolicy, CrashSchedule, Machine, Ns, OracleVerdict, SimError, SimResult};
 
 use crate::datagen::{EventTrace, UserEvent};
 use crate::hash_shard::{
-    shard_apply_detectable, shard_bytes, ShardDev, ShardModel, SLOT_BYTES, UNDO_BYTES, WAYS,
+    partition_by_set, shard_apply_detectable, shard_bytes, ShardDev, ShardModel, ShardStore,
 };
 use crate::metrics::{metered, BatchMetrics, Mode, RunMetrics};
-use crate::oracle::RecoveryOracle;
+use crate::oracle::{expect_clean, RecoveryOracle};
 
 /// Distinct users one 256-thread fold block carries (one thread per user).
 const USERS_PER_BLOCK: u64 = 256;
@@ -311,32 +310,25 @@ impl AnalyticsParams {
 
 // ---- live state -----------------------------------------------------------
 
-/// Live gpAnalytics instance state: the PM session store and its HBM
-/// mirror, the PM event journal, the batch buffers, the undo log and the
-/// transaction flag. Created once by [`AnalyticsWorkload::setup`] and
-/// reused across batches.
+/// Live gpAnalytics instance state: the detectable session store (PM
+/// table, HBM mirror, batch transaction and undo log), the PM event
+/// journal and the batch buffers. Created once by
+/// [`AnalyticsWorkload::setup`] and reused across batches.
 #[derive(Debug)]
 pub struct AnalyticsState {
-    pm_table: u64,
-    hbm_table: u64,
+    store: ShardStore,
     journal: u64,
-    flag: TxnFlag,
-    detect: DetectArea,
     ev_packed: u64,
     ev_users: u64,
     ev_start: u64,
     ev_count: u64,
-    log: GpmLog,
 }
 
 impl AnalyticsState {
-    /// The device-side shard handle over this state's table and mirror.
-    pub fn shard(&self, sets: u64) -> ShardDev {
-        ShardDev {
-            pm_base: self.pm_table,
-            hbm_base: self.hbm_table,
-            sets,
-        }
+    /// The detectable session store: batch commit, retry and rollback
+    /// recovery, and the durable table image.
+    pub fn store(&self) -> &ShardStore {
+        &self.store
     }
 }
 
@@ -508,7 +500,7 @@ impl AnalyticsWorkload {
     pub fn setup(&self, machine: &mut Machine) -> SimResult<AnalyticsState> {
         let p = &self.params;
         let ucap = p.user_capacity();
-        let pm_table = gpm_map(machine, "/pm/gpanalytics/table", p.table_bytes(), true)?.offset;
+        let pm_base = gpm_map(machine, "/pm/gpanalytics/table", p.table_bytes(), true)?.offset;
         let journal = gpm_map(
             machine,
             "/pm/gpanalytics/journal",
@@ -516,106 +508,69 @@ impl AnalyticsWorkload {
             true,
         )?
         .offset;
-        let flag = TxnFlag::create(machine, "/pm/gpanalytics/flag")?;
-        let detect = detect_create(machine, "/pm/gpanalytics/detect", ucap)
-            .map_err(|_| SimError::Invalid("failed to create gpAnalytics descriptor area"))?;
-        let hbm_table = machine.alloc_hbm(p.table_bytes())?;
+        let txn = DetectTxn::create(machine, "/pm/gpanalytics", ucap)?;
+        let hbm_base = machine.alloc_hbm(p.table_bytes())?;
         let ev_packed = machine.alloc_hbm(p.events_per_batch * 8)?;
         let ev_users = machine.alloc_hbm(ucap * 8)?;
         let ev_start = machine.alloc_hbm(ucap * 4)?;
         let ev_count = machine.alloc_hbm(ucap * 4)?;
-        let cfg = self.fold_cfg_full();
-        // Same headroom rationale as gpKVS: the log only truncates at
-        // commit, so crashed attempts' entries stay behind across retries.
-        let log_size = cfg.total_threads() * UNDO_BYTES as u64 * 4;
-        let log = gpmlog_create_hcl(
+        let dev = ShardDev {
+            pm_base,
+            hbm_base,
+            sets: p.sets,
+        };
+        let store = ShardStore::new(
             machine,
+            dev,
+            txn,
             "/pm/gpanalytics/log",
-            log_size,
-            cfg.grid,
-            cfg.block,
-        )
-        .map_err(|_| SimError::Invalid("failed to create gpAnalytics log"))?;
+            self.fold_cfg_full(),
+            None,
+        )?;
         Ok(AnalyticsState {
-            pm_table,
-            hbm_table,
+            store,
             journal,
-            flag,
-            detect,
             ev_packed,
             ev_users,
             ev_start,
             ev_count,
-            log,
         })
     }
 
     /// Set-partitions a batch: groups events per user (arrival order
-    /// preserved within a user), stable-sorts the distinct users by table
-    /// set, and packs them into 256-user blocks such that no set group
-    /// straddles a block boundary (padding with user-0 sentinels). Blocks
-    /// therefore never touch each other's table lines. Falls back to the
-    /// first-appearance layout if padding would overflow the buffers (the
-    /// kernel stays correct).
+    /// preserved within a user) and lays the distinct users out in
+    /// 256-user blocks with [`partition_by_set`] (user-0 sentinels pad a
+    /// block), so blocks never touch each other's table lines.
     fn pack_batch(&self, events: &[UserEvent]) -> PackedEvents {
-        let sets = self.params.sets;
-        let (mut order, mut groups) = group_events(events);
-        order.sort_by_key(|&u| gpm_pmkv::hash64(u) % sets);
-        let capacity = self.params.user_capacity() as usize;
+        let (order, groups) = group_events(events);
+        let sets: Vec<u64> = order
+            .iter()
+            .map(|&u| gpm_pmkv::hash64(u) % self.params.sets)
+            .collect();
+        let layout = partition_by_set(
+            &sets,
+            USERS_PER_BLOCK as usize,
+            self.params.user_capacity() as usize,
+        );
         let mut pe = PackedEvents {
-            users: Vec::new(),
-            start: Vec::new(),
-            count: Vec::new(),
+            users: Vec::with_capacity(layout.len()),
+            start: Vec::with_capacity(layout.len()),
+            count: Vec::with_capacity(layout.len()),
             packed: Vec::with_capacity(events.len()),
             real_events: events.len(),
         };
-        let mut identity = false;
-        let mut g = 0usize;
-        while g < order.len() {
-            let set = gpm_pmkv::hash64(order[g]) % sets;
-            let mut e = g + 1;
-            while e < order.len() && gpm_pmkv::hash64(order[e]) % sets == set {
-                e += 1;
-            }
-            let group = e - g;
-            let used = pe.users.len() % USERS_PER_BLOCK as usize;
-            if group > USERS_PER_BLOCK as usize {
-                identity = true;
-                break;
-            }
-            if used + group > USERS_PER_BLOCK as usize {
-                for _ in used..USERS_PER_BLOCK as usize {
-                    pe.users.push(0);
-                    pe.start.push(0);
-                    pe.count.push(0);
-                }
-            }
-            if pe.users.len() + group > capacity {
-                identity = true;
-                break;
-            }
-            for &u in &order[g..e] {
-                let evs = &groups[&u];
-                pe.users.push(u);
-                pe.start.push(pe.packed.len() as u32);
-                pe.count.push(evs.len() as u32);
-                pe.packed.extend_from_slice(evs);
-            }
-            g = e;
-        }
-        if identity {
-            pe.users.clear();
-            pe.start.clear();
-            pe.count.clear();
-            pe.packed.clear();
-            let (order, _) = group_events(events);
-            for u in order {
-                let evs = groups.remove(&u).unwrap_or_default();
-                pe.users.push(u);
-                pe.start.push(pe.packed.len() as u32);
-                pe.count.push(evs.len() as u32);
-                pe.packed.extend_from_slice(&evs);
-            }
+        for slot in layout {
+            let Some(i) = slot else {
+                pe.users.push(0);
+                pe.start.push(0);
+                pe.count.push(0);
+                continue;
+            };
+            let evs = &groups[&order[i]];
+            pe.users.push(order[i]);
+            pe.start.push(pe.packed.len() as u32);
+            pe.count.push(evs.len() as u32);
+            pe.packed.extend_from_slice(evs);
         }
         pe
     }
@@ -668,9 +623,9 @@ impl AnalyticsWorkload {
         epoch: u64,
     ) -> impl Kernel<State = (), Shared = ()> + '_ {
         let p = self.params;
-        let shard = st.shard(p.sets);
-        let detect = st.detect.dev();
-        let log = st.log.dev();
+        let shard = st.store.dev;
+        let detect = st.store.txn.area.dev();
+        let log = st.store.log.dev();
         let (ev_users, ev_start, ev_count, ev_packed) =
             (st.ev_users, st.ev_start, st.ev_count, st.ev_packed);
         let inject = self.inject_double_apply;
@@ -704,23 +659,6 @@ impl AnalyticsWorkload {
         })
     }
 
-    /// Opens (or, on a retry, re-enters) the detect epoch for transaction
-    /// `seq` — same discipline as gpKVS: a still-armed flag for this very
-    /// `seq` means a crashed batch is being resubmitted, so the epoch
-    /// minted before the crash is reused.
-    fn enter_epoch(&self, machine: &mut Machine, st: &AnalyticsState, seq: u64) -> SimResult<u64> {
-        if st.flag.active(machine)? == seq + 1 {
-            st.detect
-                .epoch(machine)
-                .map_err(|_| SimError::Invalid("detect epoch read failed"))
-        } else {
-            st.flag.begin(machine, seq + 1)?;
-            st.detect
-                .begin_epoch(machine)
-                .map_err(|_| SimError::Invalid("detect epoch advance failed"))
-        }
-    }
-
     /// Applies one batch of events: upload, journal append (vectorized),
     /// per-user fold (detectable RMW), commit. `seq` numbers the
     /// transaction; `journal_base` is the event index the batch's journal
@@ -738,18 +676,14 @@ impl AnalyticsWorkload {
         journal_base: u64,
         events: &[UserEvent],
     ) -> SimResult<BatchMetrics> {
-        match self.apply_batch_gauged(
+        expect_clean(self.apply_batch_gauged(
             machine,
             st,
             seq,
             journal_base,
             events,
             &mut FuelGauge::Unlimited,
-        ) {
-            Ok(m) => Ok(m),
-            Err(LaunchError::Crashed(_)) => unreachable!("unlimited gauge never crashes"),
-            Err(LaunchError::Sim(e)) => Err(e),
-        }
+        ))
     }
 
     /// [`apply_batch`](AnalyticsWorkload::apply_batch) driven through a
@@ -785,9 +719,7 @@ impl AnalyticsWorkload {
         let pe = self.pack_batch(events);
         self.upload_batch(machine, st, &pe)
             .map_err(LaunchError::Sim)?;
-        let epoch = self
-            .enter_epoch(machine, st, seq)
-            .map_err(LaunchError::Sim)?;
+        let epoch = st.store.txn.enter(machine, seq).map_err(LaunchError::Sim)?;
         gpm_persist_begin(machine);
         let n_events = pe.packed.len() as u64;
         if n_events > 0 {
@@ -812,10 +744,7 @@ impl AnalyticsWorkload {
             )?;
         }
         gpm_persist_end(machine);
-        st.flag.commit(machine).map_err(LaunchError::Sim)?;
-        st.log
-            .host_clear(machine)
-            .map_err(|_| LaunchError::Sim(SimError::Invalid("log clear failed")))?;
+        st.store.commit(machine).map_err(LaunchError::Sim)?;
         let d = machine.stats.delta(&s0);
         Ok(BatchMetrics {
             ops: events.len() as u64,
@@ -844,113 +773,18 @@ impl AnalyticsWorkload {
         Ok(())
     }
 
-    /// Rebuilds the volatile HBM mirror from the durable PM session store
-    /// after a crash (one PM→GPU sweep over PCIe).
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn rebuild_mirror(&self, machine: &mut Machine, st: &AnalyticsState) -> SimResult<()> {
-        let bytes = self.params.table_bytes();
-        let mut buf = vec![0u8; bytes as usize];
-        machine.read(Addr::pm(st.pm_table), &mut buf)?;
-        machine.host_write(Addr::hbm(st.hbm_table), &buf)?;
-        let t = machine.cfg.dma_init_overhead + Ns(bytes as f64 / machine.cfg.pcie_bw);
-        machine.clock.advance(t);
-        Ok(())
-    }
-
-    /// In-place *retry* recovery: rebuilds the HBM mirror and touches
-    /// nothing else — the store, the descriptor area and the transaction
-    /// flag stay exactly as the crash left them, so resubmitting the
-    /// in-flight batch (same `seq`, same events, same `journal_base`)
-    /// folds precisely the users that had not yet applied. Idempotent.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn recover_for_retry(&self, machine: &mut Machine, st: &AnalyticsState) -> SimResult<()> {
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryBegin);
-        }
-        let result = self.rebuild_mirror(machine, st);
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryEnd);
-        }
-        result
-    }
-
-    /// Rollback recovery: undo logged session-store publishes, newest
-    /// first, removing each entry only after the store is persisted (the
-    /// Figure 6b drain, shared layout with gpKVS). The journal needs no
-    /// undo — entries past the committed watermark are dead by definition.
+    /// Rollback recovery ([`ShardStore::recover`]): undo logged
+    /// session-store publishes, newest first, removing each entry only
+    /// after the store is persisted (the Figure 6b drain gpKVS shares). The
+    /// journal needs no undo — entries past the committed watermark are
+    /// dead by definition. With `inject_recovery_bug` set the drain drops
+    /// the newest entry unapplied.
     ///
     /// # Errors
     ///
     /// Propagates platform errors.
     pub fn recover(&self, machine: &mut Machine, st: &AnalyticsState) -> SimResult<()> {
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryBegin);
-        }
-        let result = match self.recover_gauged(machine, st, &mut FuelGauge::Unlimited) {
-            Ok(()) => Ok(()),
-            Err(LaunchError::Crashed(_)) => unreachable!("unlimited gauge never crashes"),
-            Err(LaunchError::Sim(e)) => Err(e),
-        };
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryEnd);
-        }
-        result
-    }
-
-    fn recover_gauged(
-        &self,
-        machine: &mut Machine,
-        st: &AnalyticsState,
-        gauge: &mut FuelGauge,
-    ) -> Result<(), LaunchError> {
-        if st.flag.active(machine).map_err(LaunchError::Sim)? == 0 {
-            return Ok(()); // no transaction was active
-        }
-        let victim = if self.inject_recovery_bug {
-            let mut v = None;
-            for tid in 0..self.fold_cfg_full().total_threads() {
-                let tail = st
-                    .log
-                    .host_tail(machine, tid)
-                    .map_err(|_| LaunchError::Sim(SimError::Invalid("log tail")))?;
-                if tail as usize * 4 >= UNDO_BYTES {
-                    v = Some(tid);
-                    break;
-                }
-            }
-            v
-        } else {
-            None
-        };
-        let log = st.log.dev();
-        let pm_table = st.pm_table;
-        gpm_persist_begin(machine);
-        let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
-            if Some(ctx.global_id()) == victim && log.tail(ctx)? as usize * 4 >= UNDO_BYTES {
-                log.remove(ctx, UNDO_BYTES)?;
-            }
-            while log.tail(ctx)? as usize * 4 >= UNDO_BYTES {
-                let mut entry = [0u8; UNDO_BYTES];
-                log.read_top(ctx, &mut entry)?;
-                let set = u32::from_le_bytes(entry[0..4].try_into().unwrap()) as u64;
-                let way = u32::from_le_bytes(entry[4..8].try_into().unwrap()) as u64;
-                let slot = pm_table + (set * WAYS + way) * SLOT_BYTES;
-                ctx.st_bytes(Addr::pm(slot), &entry[8..40])?;
-                ctx.gpm_persist()?;
-                log.remove(ctx, UNDO_BYTES)?;
-            }
-            Ok(())
-        });
-        launch_with_gauge(machine, self.fold_cfg_full(), &k, gauge)?;
-        gpm_persist_end(machine);
-        st.flag.commit(machine).map_err(LaunchError::Sim)?;
-        Ok(())
+        st.store.recover(machine, self.inject_recovery_bug)
     }
 
     /// Host reference model: replays the first `batches` batches through
@@ -978,17 +812,7 @@ impl AnalyticsWorkload {
     ///
     /// Propagates platform errors.
     pub fn verify(&self, machine: &Machine, st: &AnalyticsState, batches: u32) -> SimResult<bool> {
-        let model = self.reference_model(batches);
-        for (&(set, way), &(k, v, ver)) in model.entries() {
-            let slot = st.pm_table + (set * WAYS + way) * SLOT_BYTES;
-            if machine.read_u64(Addr::pm(slot))? != k
-                || machine.read_u64(Addr::pm(slot + 8))? != v
-                || machine.read_u64(Addr::pm(slot + 16))? != ver
-            {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        st.store.dev.holds(machine, &self.reference_model(batches))
     }
 
     /// Verifies the journal's committed prefix byte-matches the reference
@@ -1026,20 +850,12 @@ impl AnalyticsWorkload {
     /// Propagates platform errors.
     pub fn cohort_stats(&self, machine: &Machine, st: &AnalyticsState) -> SimResult<CohortStats> {
         let mut out = CohortStats::default();
-        for set in 0..self.params.sets {
-            for way in 0..WAYS {
-                let slot = st.pm_table + (set * WAYS + way) * SLOT_BYTES;
-                let key = machine.read_u64(Addr::pm(slot))?;
-                if key == 0 {
-                    continue;
-                }
-                let state = machine.read_u64(Addr::pm(slot + 8))?;
-                out.users += 1;
-                out.sessions += sessions_of(state);
-                out.retained += u64::from(sessions_of(state) >= 2);
-                out.completions += completions_of(state);
-                out.matched += u64::from(seq_matches_of(state) >= 1);
-            }
+        for (_, state) in st.store.dev.host_scan(machine)? {
+            out.users += 1;
+            out.sessions += sessions_of(state);
+            out.retained += u64::from(sessions_of(state) >= 2);
+            out.completions += completions_of(state);
+            out.matched += u64::from(seq_matches_of(state) >= 1);
         }
         Ok(out)
     }
@@ -1057,11 +873,8 @@ impl AnalyticsWorkload {
         let st = self.setup(machine)?;
         let mut metrics = metered(machine, |m| {
             let mut committed = 0;
-            match self.run_batches_gauged(m, &st, &mut FuelGauge::Unlimited, &mut committed) {
-                Ok(()) => Ok::<bool, SimError>(true),
-                Err(LaunchError::Crashed(_)) => unreachable!("unlimited gauge never crashes"),
-                Err(LaunchError::Sim(e)) => Err(e),
-            }
+            let drive = self.run_batches_gauged(m, &st, &mut FuelGauge::Unlimited, &mut committed);
+            expect_clean(drive).map(|()| true)
         })?;
         metrics.verified = self.verify(machine, &st, self.params.batches)?
             && self.verify_journal(machine, &st, self.params.batches)?;
@@ -1119,7 +932,7 @@ impl RecoveryOracle for AnalyticsWorkload {
         // its committed state (absent if the batch introduced it).
         if committed < self.params.batches {
             let model = self.reference_model(committed);
-            let shard = st.shard(self.params.sets);
+            let shard = st.store.dev;
             let in_flight = &self.gen_batches()[committed as usize];
             let (users, _) = group_events(in_flight);
             for user in users {
@@ -1159,12 +972,12 @@ impl RecoveryOracle for AnalyticsWorkload {
         );
         crate::oracle::settle_crash(machine, policy, res)?;
         // Retry recovery, run TWICE: it must be idempotent.
-        self.recover_for_retry(machine, &st)?;
-        self.recover_for_retry(machine, &st)?;
+        st.store.recover_for_retry(machine)?;
+        st.store.recover_for_retry(machine)?;
         // Resubmit the in-flight batch verbatim, then the remaining ones.
         let batches = self.gen_batches();
         let epb = self.params.events_per_batch;
-        let shard = st.shard(self.params.sets);
+        let shard = st.store.dev;
         for b in committed..self.params.batches {
             let events = &batches[b as usize];
             self.apply_batch(machine, &st, b as u64, b as u64 * epb, events)?;

@@ -20,9 +20,8 @@
 
 use gpm_cap::{cap_persist_region, flush_from_cpu, CapFlavor};
 use gpm_core::{
-    detect_create, gpm_map, gpm_persist_begin, gpm_persist_end, gpmlog_create_conv,
-    gpmlog_create_hcl, op_tag, DetectArea, DetectableCas, GpmLog, GpmLogDev, GpmThreadExt,
-    GpmWarpExt, TxnFlag,
+    gpm_map, gpm_persist_begin, gpm_persist_end, gpmlog_create_conv, gpmlog_create_hcl, op_tag,
+    DetectTxn, DetectableCas, GpmLog, GpmLogDev, GpmThreadExt, GpmWarpExt,
 };
 use gpm_gpu::{
     launch, launch_with_gauge, FnKernel, FuelGauge, Kernel, LaunchConfig, LaunchError, ThreadCtx,
@@ -30,12 +29,12 @@ use gpm_gpu::{
 };
 use gpm_sim::cpu::CpuCtx;
 use gpm_sim::{
-    Addr, CrashPolicy, CrashSchedule, EventKind, Machine, Ns, OracleVerdict, SimError, SimResult,
-    HOST_WRITER,
+    Addr, CrashPolicy, CrashSchedule, Machine, Ns, OracleVerdict, SimError, SimResult, HOST_WRITER,
 };
 
+use crate::hash_shard::{rebuild_mirror, traced_recovery};
 use crate::metrics::{metered, BatchMetrics, Mode, RunMetrics};
-use crate::oracle::RecoveryOracle;
+use crate::oracle::{expect_clean, RecoveryOracle};
 
 /// Valid bytes per row: id u64 + 12 columns u64.
 pub const ROW_BYTES: u64 = 104;
@@ -150,9 +149,8 @@ pub struct DbState {
     row_count: u64, // PM address of the persistent row count
     staging_dram: u64,
     cap_pm: u64,
-    upd_meta: u64, // PM base of the per-row UPDATE meta records
-    flag: TxnFlag,
-    detect: DetectArea, // epoch counter only; the meta records are the descriptors
+    upd_meta: u64,  // PM base of the per-row UPDATE meta records
+    txn: DetectTxn, // epoch counter only; the meta records are the descriptors
     meta_log: GpmLog,
     row_log: GpmLog,
 }
@@ -314,11 +312,9 @@ impl DbWorkload {
             true,
         )?
         .offset;
-        let flag = TxnFlag::create(machine, "/pm/gpdb/flag")?;
         // One-slot area: only its durable epoch counter is used (the per-row
         // meta records play the descriptor role).
-        let detect = detect_create(machine, "/pm/gpdb/detect", 1)
-            .map_err(|_| SimError::Invalid("failed to create gpDB descriptor area"))?;
+        let txn = DetectTxn::create(machine, "/pm/gpdb", 1)?;
         let hbm_table = machine.alloc_hbm(p.table_bytes())?;
         let staging_dram = machine.alloc_dram(p.table_bytes())?;
         let cap_pm = if matches!(mode, Mode::CapFs | Mode::CapMm) {
@@ -365,8 +361,7 @@ impl DbWorkload {
             staging_dram,
             cap_pm,
             upd_meta,
-            flag,
-            detect,
+            txn,
             meta_log,
             row_log,
         })
@@ -489,21 +484,40 @@ impl DbWorkload {
         })
     }
 
-    /// Opens (or, on a retry, re-enters) the detect epoch for UPDATE batch
-    /// `batch` — same reuse rule as the KVS side: a still-armed transaction
-    /// flag for this very batch means a resubmission, so the pre-crash
-    /// epoch (and therefore its tags) is reused.
-    fn enter_epoch(&self, machine: &mut Machine, st: &DbState, batch: u32) -> SimResult<u64> {
-        if st.flag.active(machine)? == batch as u64 + 1 {
-            st.detect
-                .epoch(machine)
-                .map_err(|_| SimError::Invalid("detect epoch read failed"))
-        } else {
-            st.flag.begin(machine, batch as u64 + 1)?;
-            st.detect
-                .begin_epoch(machine)
-                .map_err(|_| SimError::Invalid("detect epoch advance failed"))
+    /// The GPM launch of batch `batch`, up to and not including its
+    /// commit, in a persist window: an INSERT appends `rows` rows after the
+    /// first `count`; an UPDATE opens (or, on a resubmission, re-enters)
+    /// the batch's detect epoch ([`DetectTxn::enter`]) and sweeps the first
+    /// `count` rows. [`apply_batch_gauged`](DbWorkload::apply_batch_gauged)
+    /// commits after it; Table 5's measurement crashes before the commit
+    /// instead.
+    fn launch_gpm(
+        &self,
+        machine: &mut Machine,
+        st: &DbState,
+        batch: u32,
+        rows: u64,
+        count: u64,
+        gauge: &mut FuelGauge,
+    ) -> Result<(), LaunchError> {
+        match self.params.op {
+            DbOp::Insert => {
+                gpm_persist_begin(machine);
+                let kernel = self.insert_kernel(st, batch, count, rows, true, true);
+                launch_with_gauge(machine, self.cfg_for(rows), &kernel, gauge)?;
+            }
+            DbOp::Update => {
+                let epoch = st
+                    .txn
+                    .enter(machine, batch as u64)
+                    .map_err(LaunchError::Sim)?;
+                gpm_persist_begin(machine);
+                let kernel = self.update_kernel(st, batch, count, epoch, true, true);
+                launch_with_gauge(machine, self.update_launch_cfg(), &kernel, gauge)?;
+            }
         }
+        gpm_persist_end(machine);
+        Ok(())
     }
 
     fn persist_count(&self, machine: &mut Machine, st: &DbState, count: u64) -> SimResult<()> {
@@ -520,8 +534,10 @@ impl DbWorkload {
     /// rows (`rows` is ignored for updates). `count` is the caller's live
     /// row count and is advanced (and persisted, where the mode requires
     /// it) by insert batches. This is the single entry point both the
-    /// closed-loop suite and the `gpm-serve` frontend drive — there is no
-    /// second kernel-launch code path.
+    /// closed-loop suite and the `gpm-serve` frontend drive; Table 5's
+    /// measurement shares its GPM launch step ([`launch_gpm`]).
+    ///
+    /// [`launch_gpm`]: DbWorkload::launch_gpm
     ///
     /// # Errors
     ///
@@ -536,7 +552,7 @@ impl DbWorkload {
         count: &mut u64,
         mode: Mode,
     ) -> SimResult<BatchMetrics> {
-        match self.apply_batch_gauged(
+        expect_clean(self.apply_batch_gauged(
             machine,
             st,
             batch,
@@ -544,11 +560,7 @@ impl DbWorkload {
             count,
             mode,
             &mut FuelGauge::Unlimited,
-        ) {
-            Ok(m) => Ok(m),
-            Err(LaunchError::Crashed(_)) => unreachable!("unlimited gauge never crashes"),
-            Err(LaunchError::Sim(e)) => Err(e),
-        }
+        ))
     }
 
     /// [`apply_batch`](DbWorkload::apply_batch) driven through a
@@ -586,14 +598,7 @@ impl DbWorkload {
                 let cfg = self.cfg_for(rows);
                 match mode {
                     Mode::Gpm => {
-                        gpm_persist_begin(machine);
-                        launch_with_gauge(
-                            machine,
-                            cfg,
-                            &self.insert_kernel(st, batch, *count, rows, true, true),
-                            gauge,
-                        )?;
-                        gpm_persist_end(machine);
+                        self.launch_gpm(machine, st, batch, rows, *count, gauge)?;
                         *count += rows;
                         self.persist_count(machine, st, *count)
                             .map_err(LaunchError::Sim)?;
@@ -661,18 +666,8 @@ impl DbWorkload {
                 let cfg = self.update_launch_cfg();
                 match mode {
                     Mode::Gpm => {
-                        let epoch = self
-                            .enter_epoch(machine, st, batch)
-                            .map_err(LaunchError::Sim)?;
-                        gpm_persist_begin(machine);
-                        launch_with_gauge(
-                            machine,
-                            cfg,
-                            &self.update_kernel(st, batch, *count, epoch, true, true),
-                            gauge,
-                        )?;
-                        gpm_persist_end(machine);
-                        st.flag.commit(machine).map_err(LaunchError::Sim)?;
+                        self.launch_gpm(machine, st, batch, rows, *count, gauge)?;
+                        st.txn.flag.commit(machine).map_err(LaunchError::Sim)?;
                         st.row_log
                             .host_clear(machine)
                             .map_err(|_| LaunchError::Sim(SimError::Invalid("clear")))?;
@@ -864,46 +859,15 @@ impl DbWorkload {
         );
         let p = self.params;
         let st = self.setup(machine, Mode::Gpm)?;
+        let last = p.batches - 1;
         let mut metrics = metered(machine, |m| {
             let mut count = p.initial_rows;
-            for b in 0..p.batches {
-                match p.op {
-                    DbOp::Insert => {
-                        let cfg = self.cfg_for(p.rows_per_insert);
-                        gpm_persist_begin(m);
-                        launch(
-                            m,
-                            cfg,
-                            &self.insert_kernel(&st, b, count, p.rows_per_insert, true, true),
-                        )?;
-                        gpm_persist_end(m);
-                        count += p.rows_per_insert;
-                        if b + 1 < p.batches {
-                            self.persist_count(m, &st, count)?;
-                            st.meta_log
-                                .host_clear(m)
-                                .map_err(|_| SimError::Invalid("clear"))?;
-                        }
-                    }
-                    DbOp::Update => {
-                        let cfg = self.update_launch_cfg();
-                        let epoch = self.enter_epoch(m, &st, b)?;
-                        gpm_persist_begin(m);
-                        launch(
-                            m,
-                            cfg,
-                            &self.update_kernel(&st, b, count, epoch, true, true),
-                        )?;
-                        gpm_persist_end(m);
-                        if b + 1 < p.batches {
-                            st.flag.commit(m)?;
-                            st.row_log
-                                .host_clear(m)
-                                .map_err(|_| SimError::Invalid("clear"))?;
-                        }
-                    }
-                }
+            for b in 0..last {
+                self.apply_batch(m, &st, b, p.rows_per_insert, &mut count, Mode::Gpm)?;
             }
+            // Final batch: crash before commit.
+            let unlimited = &mut FuelGauge::Unlimited;
+            expect_clean(self.launch_gpm(m, &st, last, p.rows_per_insert, count, unlimited))?;
             Ok::<bool, SimError>(true)
         })?;
         machine.crash();
@@ -963,14 +927,7 @@ impl DbWorkload {
     ///
     /// Propagates platform errors.
     pub fn recover(&self, machine: &mut Machine, st: &DbState) -> SimResult<()> {
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryBegin);
-        }
-        let result = self.recover_inner(machine, st);
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryEnd);
-        }
-        result
+        traced_recovery(machine, |m| self.recover_inner(m, st))
     }
 
     fn recover_inner(&self, machine: &mut Machine, st: &DbState) -> SimResult<()> {
@@ -1016,33 +973,17 @@ impl DbWorkload {
                 // Rollback complete: retire the transaction (which also
                 // retires the crashed batch's epoch — its stale meta tags
                 // can never match a future epoch's).
-                st.flag.commit(machine)?;
+                st.txn.flag.commit(machine)?;
                 Ok(())
             }
         }
     }
 
-    /// Rebuilds the volatile HBM mirror from the durable PM table after a
-    /// crash (one PM→GPU sweep over PCIe). Timed as a bulk DMA.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn rebuild_mirror(&self, machine: &mut Machine, st: &DbState) -> SimResult<()> {
-        let bytes = self.params.table_bytes();
-        let mut buf = vec![0u8; bytes as usize];
-        machine.read(Addr::pm(st.pm_table), &mut buf)?;
-        machine.host_write(Addr::hbm(st.hbm_table), &buf)?;
-        let t = machine.cfg.dma_init_overhead + Ns(bytes as f64 / machine.cfg.pcie_bw);
-        machine.clock.advance(t);
-        Ok(())
-    }
-
     /// In-place *retry* recovery for UPDATE batches: rebuilds the HBM
-    /// mirror and touches nothing else — table, meta records and
-    /// transaction flag stay as the crash left them, so resubmitting the
-    /// in-flight batch applies exactly the rows that had not yet applied.
-    /// Idempotent. Mutually exclusive (per crash) with the rollback in
+    /// mirror ([`rebuild_mirror`]) and touches nothing else — table, meta
+    /// records and transaction flag stay as the crash left them, so
+    /// resubmitting the in-flight batch applies exactly the rows that had
+    /// not yet applied. Idempotent. Mutually exclusive (per crash) with the rollback in
     /// [`recover`](DbWorkload::recover), which clears the flag and thereby
     /// retires the epoch a retry would need.
     ///
@@ -1050,14 +991,10 @@ impl DbWorkload {
     ///
     /// Propagates platform errors.
     pub fn recover_for_retry(&self, machine: &mut Machine, st: &DbState) -> SimResult<()> {
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryBegin);
-        }
-        let result = self.rebuild_mirror(machine, st);
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryEnd);
-        }
-        result
+        let bytes = self.params.table_bytes();
+        traced_recovery(machine, |m| {
+            rebuild_mirror(m, st.pm_table, st.hbm_table, bytes)
+        })
     }
 
     /// Snapshots the durable PM table image (host-side read, no simulated
@@ -1215,7 +1152,8 @@ impl RecoveryOracle for DbWorkload {
                         // every matched row's meta record carries this
                         // epoch's tag with version exactly 1.
                         let epoch = st
-                            .detect
+                            .txn
+                            .area
                             .epoch(machine)
                             .map_err(|_| SimError::Invalid("detect epoch read failed"))?;
                         for r in 0..p.initial_rows {

@@ -39,12 +39,35 @@
 //! batches that evict nothing — [`ShardModel::evicted`] lets harnesses
 //! assert that (the workloads size their tables so in-batch eviction cannot
 //! occur).
+//!
+//! [`ShardStore`] is the host side gpKVS and gpAnalytics share: the table,
+//! its mirror, the [`DetectTxn`] that brackets each batch and the undo log.
+//! A batch opens with [`DetectTxn::enter`] and ends with
+//! [`ShardStore::commit`]. After a crash the store recovers one of two
+//! ways, mutually exclusive per crash:
+//!
+//! * **retry** ([`ShardStore::recover_for_retry`]) rebuilds the HBM mirror
+//!   and leaves the flag, the epoch and the table as the crash left them,
+//!   so resubmitting the batch applies exactly the ops that had not
+//!   applied;
+//! * **rollback** ([`ShardStore::recover`], Figure 6b) drains the undo log
+//!   newest-first, restoring the pre-batch table, and clears the flag,
+//!   which retires the epoch a retry would need.
+//!
+//! [`partition_by_set`] is the batch layout both stores launch with:
+//! same-set operations share a threadblock, so blocks never read each
+//! other's table lines.
 
 use std::collections::HashMap;
 
-use gpm_core::{DetectDev, DetectableCas, GpmLogDev, GpmThreadExt};
-use gpm_gpu::ThreadCtx;
-use gpm_sim::{Addr, Machine, Ns, SimResult};
+use gpm_core::{
+    gpm_persist_begin, gpm_persist_end, gpmlog_create_conv, gpmlog_create_hcl, DetectDev,
+    DetectTxn, DetectableCas, GpmLog, GpmLogDev, GpmThreadExt,
+};
+use gpm_gpu::{launch_with_gauge, FnKernel, FuelGauge, LaunchConfig, LaunchError, ThreadCtx};
+use gpm_sim::{Addr, EventKind, Machine, Ns, SimError, SimResult};
+
+use crate::oracle::expect_clean;
 
 /// Ways per set (MegaKV-style set-associative layout).
 pub const WAYS: u64 = 8;
@@ -202,6 +225,26 @@ impl ShardDev {
         }
         Ok(out)
     }
+
+    /// Host-side untimed check that the durable PM table holds every
+    /// record of `model` at the model's `(set, way)`: key, value and
+    /// version. Slots the model leaves empty are not checked.
+    ///
+    /// # Errors
+    ///
+    /// Propagates platform errors.
+    pub fn holds(&self, machine: &Machine, model: &ShardModel) -> SimResult<bool> {
+        for (&(set, way), &(key, value, version)) in model.entries() {
+            let slot = self.pm_slot(set, way);
+            if machine.read_u64(slot)? != key
+                || machine.read_u64(slot.add(8))? != value
+                || machine.read_u64(slot.add(16))? != version
+            {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 }
 
 fn slot_words(b: &[u8; SLOT_BYTES as usize]) -> [u64; 4] {
@@ -222,12 +265,256 @@ fn slot_bytes(rec: [u64; 4]) -> [u8; SLOT_BYTES as usize] {
     b
 }
 
+/// The undo record of a displaced slot: set u32, way u32, then the old
+/// 32-byte slot. [`ShardStore::recover_gauged`] decodes it.
 fn undo_entry(set: u64, way: u64, old: [u64; 4]) -> [u8; UNDO_BYTES] {
     let mut e = [0u8; UNDO_BYTES];
     e[0..4].copy_from_slice(&(set as u32).to_le_bytes());
     e[4..8].copy_from_slice(&(way as u32).to_le_bytes());
     e[8..40].copy_from_slice(&slot_bytes(old));
     e
+}
+
+/// One detectable shard store: the table and its HBM mirror, the
+/// transaction that brackets each batch, and the undo log. gpKVS and
+/// gpAnalytics each own one; it is where their batches commit and where
+/// their crashes recover (see the module doc).
+#[derive(Debug)]
+pub struct ShardStore {
+    /// The PM table and its HBM mirror.
+    pub(crate) dev: ShardDev,
+    /// The transaction flag and descriptor area of the batch in flight.
+    pub(crate) txn: DetectTxn,
+    /// The undo log: one [`UNDO_BYTES`] record per displaced slot.
+    pub(crate) log: GpmLog,
+    /// The full-capacity launch shape the log is laid out for; the
+    /// rollback drain launches it.
+    pub(crate) cfg: LaunchConfig,
+}
+
+impl ShardStore {
+    /// Assembles a store over an allocated table, mirror and transaction,
+    /// and creates its undo log at `log_path` for `cfg`: HCL, or
+    /// conventional logging with `p` partitions for `conventional =
+    /// Some(p)`. Each thread gets room for four entries: under the retry
+    /// discipline the log is only truncated at commit, so a crashed
+    /// attempt's entries stay behind while the retry appends fresh ones
+    /// (one per not-yet-applied op), and four covers the serving default
+    /// of three retries on top of the first attempt.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the log cannot be created.
+    pub fn new(
+        machine: &mut Machine,
+        dev: ShardDev,
+        txn: DetectTxn,
+        log_path: &str,
+        cfg: LaunchConfig,
+        conventional: Option<u32>,
+    ) -> SimResult<ShardStore> {
+        let log_size = cfg.total_threads() * UNDO_BYTES as u64 * 4;
+        let log = match conventional {
+            None => gpmlog_create_hcl(machine, log_path, log_size, cfg.grid, cfg.block),
+            Some(parts) => gpmlog_create_conv(machine, log_path, log_size * 2, parts),
+        }
+        .map_err(|_| SimError::Invalid("failed to create the undo log"))?;
+        Ok(ShardStore { dev, txn, log, cfg })
+    }
+
+    /// Commits the batch in flight: clears the transaction flag, then
+    /// truncates the undo log.
+    ///
+    /// # Errors
+    ///
+    /// Propagates platform errors.
+    pub fn commit(&self, machine: &mut Machine) -> SimResult<()> {
+        self.txn.flag.commit(machine)?;
+        self.log
+            .host_clear(machine)
+            .map_err(|_| SimError::Invalid("log clear failed"))?;
+        Ok(())
+    }
+
+    /// Rebuilds the volatile HBM mirror from the durable PM table (see
+    /// [`rebuild_mirror`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates platform errors.
+    pub fn rebuild_mirror(&self, machine: &mut Machine) -> SimResult<()> {
+        let d = self.dev;
+        rebuild_mirror(machine, d.pm_base, d.hbm_base, shard_bytes(d.sets))
+    }
+
+    /// In-place *retry* recovery: rebuilds the mirror and touches nothing
+    /// else. The table, the descriptor area and the flag stay exactly as
+    /// the crash left them, so resubmitting the in-flight batch (same
+    /// `seq`, same ops) applies precisely the ops that had not yet applied.
+    /// Idempotent.
+    ///
+    /// # Errors
+    ///
+    /// Propagates platform errors.
+    pub fn recover_for_retry(&self, machine: &mut Machine) -> SimResult<()> {
+        traced_recovery(machine, |m| self.rebuild_mirror(m))
+    }
+
+    /// *Rollback* recovery (Figure 6b): [`recover_gauged`] to completion,
+    /// traced as one recovery phase. Public so a serving frontend can
+    /// replay it when it boots over a crashed machine image.
+    ///
+    /// [`recover_gauged`]: ShardStore::recover_gauged
+    ///
+    /// # Errors
+    ///
+    /// Propagates platform errors.
+    pub fn recover(&self, machine: &mut Machine, drop_newest: bool) -> SimResult<()> {
+        traced_recovery(machine, |m| {
+            expect_clean(self.recover_gauged(m, drop_newest, &mut FuelGauge::Unlimited))
+        })
+    }
+
+    /// The rollback drain: if a batch was in flight, undo its logged slot
+    /// writes newest-first, removing each entry only after its restore
+    /// persists, then clear the flag. Blocks cooperatively drain the shared
+    /// log: each iteration's tail read sees the removals before it. A
+    /// crashing gauge can stop the drain midway (the double-crash case);
+    /// the log is then still replayable and a second call finishes it.
+    ///
+    /// With `drop_newest` (the campaign self-test's deliberate bug), the
+    /// first thread whose HCL partition holds an entry drops it unapplied.
+    ///
+    /// # Errors
+    ///
+    /// [`LaunchError::Crashed`] when the gauge runs dry mid-drain;
+    /// [`LaunchError::Sim`] on platform errors.
+    pub fn recover_gauged(
+        &self,
+        machine: &mut Machine,
+        drop_newest: bool,
+        gauge: &mut FuelGauge,
+    ) -> Result<(), LaunchError> {
+        if self.txn.flag.active(machine).map_err(LaunchError::Sim)? == 0 {
+            return Ok(()); // no batch was in flight
+        }
+        let mut victim = None;
+        if drop_newest {
+            for tid in 0..self.cfg.total_threads() {
+                let tail = self
+                    .log
+                    .host_tail(machine, tid)
+                    .map_err(|_| LaunchError::Sim(SimError::Invalid("log tail")))?;
+                if tail as usize * 4 >= UNDO_BYTES {
+                    victim = Some(tid);
+                    break;
+                }
+            }
+        }
+        let (log, pm_base) = (self.log.dev(), self.dev.pm_base);
+        gpm_persist_begin(machine);
+        let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
+            if Some(ctx.global_id()) == victim && log.tail(ctx)? as usize * 4 >= UNDO_BYTES {
+                log.remove(ctx, UNDO_BYTES)?;
+            }
+            while log.tail(ctx)? as usize * 4 >= UNDO_BYTES {
+                let mut entry = [0u8; UNDO_BYTES];
+                log.read_top(ctx, &mut entry)?;
+                let set = u32::from_le_bytes(entry[0..4].try_into().unwrap()) as u64;
+                let way = u32::from_le_bytes(entry[4..8].try_into().unwrap()) as u64;
+                let slot = pm_base + (set * WAYS + way) * SLOT_BYTES;
+                ctx.st_bytes(Addr::pm(slot), &entry[8..40])?;
+                ctx.gpm_persist()?;
+                log.remove(ctx, UNDO_BYTES)?;
+            }
+            Ok(())
+        });
+        launch_with_gauge(machine, self.cfg, &k, gauge)?;
+        gpm_persist_end(machine);
+        self.txn.flag.commit(machine).map_err(LaunchError::Sim)?;
+        Ok(())
+    }
+
+    /// Snapshots the durable PM table image (host-side read, no simulated
+    /// cost) so tests can compare store state byte for byte across runs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates platform errors.
+    pub fn store_image(&self, machine: &Machine) -> SimResult<Vec<u8>> {
+        let mut buf = vec![0u8; shard_bytes(self.dev.sets) as usize];
+        machine.read(Addr::pm(self.dev.pm_base), &mut buf)?;
+        Ok(buf)
+    }
+}
+
+/// Rebuilds a volatile HBM mirror of `bytes` bytes at HBM offset `hbm`
+/// from the durable PM table at `pm` after a crash, timed as one bulk DMA
+/// over PCIe, so a recovered instance serves reads out of HBM again.
+///
+/// # Errors
+///
+/// Propagates platform errors.
+pub fn rebuild_mirror(machine: &mut Machine, pm: u64, hbm: u64, bytes: u64) -> SimResult<()> {
+    let mut buf = vec![0u8; bytes as usize];
+    machine.read(Addr::pm(pm), &mut buf)?;
+    machine.host_write(Addr::hbm(hbm), &buf)?;
+    let t = machine.cfg.dma_init_overhead + Ns(bytes as f64 / machine.cfg.pcie_bw);
+    machine.clock.advance(t);
+    Ok(())
+}
+
+/// Runs a recovery step `f` as one traced recovery phase: a
+/// `RecoveryBegin`/`RecoveryEnd` pair brackets it when a trace sink is
+/// installed.
+///
+/// # Errors
+///
+/// Propagates `f`'s error.
+pub fn traced_recovery(
+    machine: &mut Machine,
+    f: impl FnOnce(&mut Machine) -> SimResult<()>,
+) -> SimResult<()> {
+    if machine.trace_enabled() {
+        machine.trace(EventKind::RecoveryBegin);
+    }
+    let result = f(machine);
+    if machine.trace_enabled() {
+        machine.trace(EventKind::RecoveryEnd);
+    }
+    result
+}
+
+/// The set-partitioned batch layout: item `i` lies in table set `sets[i]`;
+/// the result lists the launch slots, `Some(i)` for item `i` and `None` for
+/// padding. Items are stable-sorted by set and packed into blocks of
+/// `per_block` slots such that no set's group straddles a block boundary
+/// (a block's tail is padded instead), so blocks never touch each other's
+/// table lines. Same-set items keep their input order, so the layout
+/// applies to the exact same table state as the input order.
+///
+/// Falls back to the input order when a group exceeds one block (extreme
+/// skew) or the padded layout would exceed `capacity` slots: the kernels
+/// stay correct, the engine just serializes that batch.
+pub fn partition_by_set(sets: &[u64], per_block: usize, capacity: usize) -> Vec<Option<usize>> {
+    let input_order = || (0..sets.len()).map(Some).collect();
+    let mut order: Vec<usize> = (0..sets.len()).collect();
+    order.sort_by_key(|&i| sets[i]);
+    let mut layout = Vec::with_capacity(capacity);
+    for group in order.chunk_by(|&a, &b| sets[a] == sets[b]) {
+        if group.len() > per_block {
+            return input_order();
+        }
+        let used = layout.len() % per_block;
+        if used + group.len() > per_block {
+            layout.resize(layout.len() + per_block - used, None);
+        }
+        if layout.len() + group.len() > capacity {
+            return input_order();
+        }
+        layout.extend(group.iter().map(|&i| Some(i)));
+    }
+    layout
 }
 
 /// The detectable SET: applies `key := value` exactly once per `tag` no
@@ -443,12 +730,6 @@ impl ShardModel {
     }
 }
 
-/// Simulated cost of rebuilding an HBM mirror from PM over PCIe (one bulk
-/// DMA), shared by the KVS and DB retry-recovery paths.
-pub fn mirror_rebuild_cost(machine: &Machine, bytes: u64) -> Ns {
-    machine.cfg.dma_init_overhead + Ns(bytes as f64 / machine.cfg.pcie_bw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,9 +856,8 @@ mod tests {
                     Err(LaunchError::Sim(e)) => panic!("{e:?}"),
                 }
                 // Retry: rebuild the mirror from PM, resubmit the batch.
-                let mut buf = vec![0u8; shard_bytes(SETS) as usize];
-                m.read(Addr::pm(r.shard.pm_base), &mut buf).unwrap();
-                m.host_write(Addr::hbm(r.shard.hbm_base), &buf).unwrap();
+                rebuild_mirror(&mut m, r.shard.pm_base, r.shard.hbm_base, shard_bytes(SETS))
+                    .unwrap();
                 gpm_persist_begin(&mut m);
                 launch(&mut m, cfg, &set_kernel(&r, epoch, false)).unwrap();
                 gpm_persist_end(&mut m);
@@ -609,9 +889,7 @@ mod tests {
             Err(LaunchError::Crashed(_)) => {}
             other => panic!("expected a crash, got {other:?}"),
         }
-        let mut buf = vec![0u8; shard_bytes(SETS) as usize];
-        m.read(Addr::pm(r.shard.pm_base), &mut buf).unwrap();
-        m.host_write(Addr::hbm(r.shard.hbm_base), &buf).unwrap();
+        rebuild_mirror(&mut m, r.shard.pm_base, r.shard.hbm_base, shard_bytes(SETS)).unwrap();
         gpm_persist_begin(&mut m);
         launch(&mut m, cfg, &set_kernel(&r, epoch, true)).unwrap();
         gpm_persist_end(&mut m);
@@ -679,9 +957,7 @@ mod tests {
                 Err(LaunchError::Crashed(_)) => {}
                 Err(LaunchError::Sim(e)) => panic!("{e:?}"),
             }
-            let mut buf = vec![0u8; shard_bytes(SETS) as usize];
-            m.read(Addr::pm(r.shard.pm_base), &mut buf).unwrap();
-            m.host_write(Addr::hbm(r.shard.hbm_base), &buf).unwrap();
+            rebuild_mirror(&mut m, r.shard.pm_base, r.shard.hbm_base, shard_bytes(SETS)).unwrap();
             gpm_persist_begin(&mut m);
             launch(&mut m, cfg, &kernel).unwrap();
             gpm_persist_end(&mut m);

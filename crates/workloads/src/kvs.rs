@@ -8,36 +8,30 @@
 //! operation that wrote it, and SETs run the descriptor publish protocol,
 //! so a crashed batch can be *retried in place* — resubmit the identical
 //! batch and every op applies exactly once — instead of rolled back. The
-//! rollback path (undo log, Figure 6b) remains for boot-time recovery.
+//! table, its mirror, the batch transaction and the undo log form one
+//! [`ShardStore`], which commits each batch and recovers a crash by retry
+//! or by rollback (undo log, Figure 6b, kept for boot-time recovery).
 //!
 //! The table lives on PM under GPM; a volatile HBM mirror serves GETs
 //! ("GETs are mostly served out of the GPU's fast HBM", §6.1). Batches are
-//! *hash-partitioned* before upload — operations on the same set are packed
-//! into the same threadblock (MegaKV partitions requests the same way) — so
-//! blocks never read each other's table lines.
+//! *hash-partitioned* before upload ([`partition_by_set`]) — operations on
+//! the same set are packed into the same threadblock (MegaKV partitions
+//! requests the same way) — so blocks never read each other's table lines.
 //!
 //! Under CAP the table lives only in HBM and the *entire* table is
 //! transferred and persisted by the CPU after each batch — the
 //! write-amplification of Table 4.
 
 use gpm_cap::{cap_persist_region, flush_from_cpu, CapFlavor};
-use gpm_core::{
-    detect_create, gpm_map, gpm_persist_begin, gpm_persist_end, gpmlog_create_hcl, op_tag,
-    DetectArea, GpmLog, GpmThreadExt, TxnFlag,
-};
-use gpm_gpu::{
-    launch, launch_with_fuel, launch_with_gauge, FnKernel, FuelGauge, LaunchConfig, LaunchError,
-    ThreadCtx,
-};
-use gpm_sim::{
-    Addr, CrashPolicy, CrashSchedule, EventKind, Machine, Ns, OracleVerdict, SimError, SimResult,
-};
+use gpm_core::{gpm_map, gpm_persist_begin, gpm_persist_end, op_tag, DetectTxn};
+use gpm_gpu::{launch_with_gauge, FnKernel, FuelGauge, LaunchConfig, LaunchError, ThreadCtx};
+use gpm_sim::{Addr, CrashPolicy, CrashSchedule, Machine, Ns, OracleVerdict, SimError, SimResult};
 
 use crate::hash_shard::{
-    shard_set_detectable, shard_set_legacy, ShardDev, ShardModel, SLOT_BYTES, UNDO_BYTES,
+    partition_by_set, shard_set_detectable, shard_set_legacy, ShardDev, ShardModel, ShardStore,
 };
 use crate::metrics::{metered, BatchMetrics, Mode, RunMetrics};
-use crate::oracle::RecoveryOracle;
+use crate::oracle::{expect_clean, RecoveryOracle};
 
 pub use crate::hash_shard::WAYS;
 
@@ -147,16 +141,14 @@ pub struct KvsWorkload {
     pub inject_double_apply: bool,
 }
 
-/// Live gpKVS instance state: the PM table, its HBM mirror, the batch
-/// buffers, the undo log and the transaction flag. Created once by
-/// [`KvsWorkload::setup`] and reused across batches — the closed-loop suite
-/// owns one per run, a `gpm-serve` shard owns one per shard.
+/// Live gpKVS instance state: the detectable store (PM table, HBM mirror,
+/// batch transaction and undo log), the CAP staging areas and the batch
+/// buffers. Created once by [`KvsWorkload::setup`] and reused across
+/// batches — the closed-loop suite owns one per run, a `gpm-serve` shard
+/// owns one per shard.
 #[derive(Debug)]
 pub struct KvsState {
-    pm_table: u64,
-    hbm_table: u64,
-    flag: TxnFlag,
-    detect: DetectArea,
+    store: ShardStore,
     staging_dram: u64,
     cap_pm: u64,
     batch_keys: u64,
@@ -164,47 +156,21 @@ pub struct KvsState {
     batch_is_get: u64,
     batch_idx: u64,
     get_results: u64,
-    log: GpmLog,
 }
 
 impl KvsState {
     /// The device-side shard handle over this state's table and mirror.
     pub fn shard(&self, sets: u64) -> ShardDev {
         ShardDev {
-            pm_base: self.pm_table,
-            hbm_base: self.hbm_table,
             sets,
+            ..self.store.dev
         }
     }
-}
 
-fn hash_set(key: u64, sets: u64) -> u64 {
-    gpm_pmkv::hash64(key) % sets
-}
-
-/// One hash-partitioned batch ready for upload: same-set operations share a
-/// threadblock, block boundaries are padded with key-0 sentinels, and
-/// `idx[i]` maps slot `i` back to the operation's original batch index (so
-/// GET results land where the caller expects them).
-struct PackedBatch {
-    keys: Vec<u64>,
-    vals: Vec<u64>,
-    gets: Vec<u32>,
-    idx: Vec<u32>,
-    /// Real (unpadded) operation count, for the CPU pipeline cost model.
-    real_ops: usize,
-}
-
-impl PackedBatch {
-    fn len(&self) -> u64 {
-        self.keys.len() as u64
-    }
-
-    fn push_sentinel(&mut self) {
-        self.keys.push(0);
-        self.vals.push(0);
-        self.gets.push(0);
-        self.idx.push(0);
+    /// The detectable store: batch commit, retry and rollback recovery,
+    /// and the durable table image.
+    pub fn store(&self) -> &ShardStore {
+        &self.store
     }
 }
 
@@ -242,74 +208,6 @@ impl KvsWorkload {
             .with_persistency(self.params.persistency)
     }
 
-    /// Hash-partitions a batch: stable-sorts operations by set, then packs
-    /// them into 32-op blocks such that no set group straddles a block
-    /// boundary (padding with sentinels instead). Relative order of
-    /// same-set operations is preserved, so the packed batch applies to the
-    /// exact same table state as the original order. Falls back to the
-    /// identity layout when a set group exceeds one block (extreme skew) —
-    /// the kernel is still correct, the engine just serializes that batch.
-    fn pack_batch(&self, ops: &[KvsOp]) -> PackedBatch {
-        let sets = self.params.sets;
-        let capacity = self.params.batch_capacity() as usize;
-        let mut order: Vec<u32> = (0..ops.len() as u32).collect();
-        order.sort_by_key(|&i| hash_set(ops[i as usize].0, sets));
-        // Group boundaries in the sorted order.
-        let mut packed = PackedBatch {
-            keys: Vec::with_capacity(capacity),
-            vals: Vec::with_capacity(capacity),
-            gets: Vec::with_capacity(capacity),
-            idx: Vec::with_capacity(capacity),
-            real_ops: ops.len(),
-        };
-        let mut identity = false;
-        let mut g = 0usize;
-        while g < order.len() {
-            let set = hash_set(ops[order[g] as usize].0, sets);
-            let mut e = g + 1;
-            while e < order.len() && hash_set(ops[order[e] as usize].0, sets) == set {
-                e += 1;
-            }
-            let group = e - g;
-            let used = packed.keys.len() % OPS_PER_BLOCK as usize;
-            if group > OPS_PER_BLOCK as usize {
-                identity = true;
-                break;
-            }
-            if used + group > OPS_PER_BLOCK as usize {
-                // Pad to the next block so the group stays together.
-                for _ in used..OPS_PER_BLOCK as usize {
-                    packed.push_sentinel();
-                }
-            }
-            if packed.keys.len() + group > capacity {
-                identity = true;
-                break;
-            }
-            for &i in &order[g..e] {
-                let (k, v, get) = ops[i as usize];
-                packed.keys.push(k);
-                packed.vals.push(v);
-                packed.gets.push(get as u32);
-                packed.idx.push(i);
-            }
-            g = e;
-        }
-        if identity {
-            packed.keys.clear();
-            packed.vals.clear();
-            packed.gets.clear();
-            packed.idx.clear();
-            for (i, &(k, v, get)) in ops.iter().enumerate() {
-                packed.keys.push(k);
-                packed.vals.push(v);
-                packed.gets.push(get as u32);
-                packed.idx.push(i as u32);
-            }
-        }
-        packed
-    }
-
     /// Allocates the table, mirror, batch buffers, undo log and transaction
     /// flag on `machine` (durable setup, untimed).
     ///
@@ -319,11 +217,9 @@ impl KvsWorkload {
     pub fn setup(&self, machine: &mut Machine, mode: Mode) -> SimResult<KvsState> {
         let p = &self.params;
         let cap = p.batch_capacity();
-        let pm_table = gpm_map(machine, "/pm/gpkvs/table", p.table_bytes(), true)?.offset;
-        let flag = TxnFlag::create(machine, "/pm/gpkvs/flag")?;
-        let detect = detect_create(machine, "/pm/gpkvs/detect", cap)
-            .map_err(|_| SimError::Invalid("failed to create gpKVS descriptor area"))?;
-        let hbm_table = machine.alloc_hbm(p.table_bytes())?;
+        let pm_base = gpm_map(machine, "/pm/gpkvs/table", p.table_bytes(), true)?.offset;
+        let txn = DetectTxn::create(machine, "/pm/gpkvs", cap)?;
+        let hbm_base = machine.alloc_hbm(p.table_bytes())?;
         let staging_dram = machine.alloc_dram(p.table_bytes())?;
         let cap_pm = if matches!(mode, Mode::CapFs | Mode::CapMm) {
             machine.alloc_pm(p.table_bytes())?
@@ -335,25 +231,21 @@ impl KvsWorkload {
         let batch_is_get = machine.alloc_hbm(cap * 4)?;
         let batch_idx = machine.alloc_hbm(cap * 4)?;
         let get_results = machine.alloc_hbm(cap * 8)?;
-        let cfg = self.launch_cfg();
-        // 4× headroom per thread: under the in-place-retry discipline the
-        // log is only truncated at commit, so each crashed attempt's undo
-        // entries stay behind while the retry appends fresh ones (one per
-        // not-yet-applied SET). Four entries per thread covers the serving
-        // default of three retries on top of the initial attempt.
-        let log_size = cfg.total_threads() * UNDO_BYTES as u64 * 4;
-        let log = match p.conventional_log_partitions {
-            None => gpmlog_create_hcl(machine, "/pm/gpkvs/log", log_size, cfg.grid, cfg.block),
-            Some(parts) => {
-                gpm_core::gpmlog_create_conv(machine, "/pm/gpkvs/log", log_size * 2, parts)
-            }
-        }
-        .map_err(|_| SimError::Invalid("failed to create gpKVS log"))?;
+        let dev = ShardDev {
+            pm_base,
+            hbm_base,
+            sets: p.sets,
+        };
+        let store = ShardStore::new(
+            machine,
+            dev,
+            txn,
+            "/pm/gpkvs/log",
+            self.launch_cfg(),
+            p.conventional_log_partitions,
+        )?;
         Ok(KvsState {
-            pm_table,
-            hbm_table,
-            flag,
-            detect,
+            store,
             staging_dram,
             cap_pm,
             batch_keys,
@@ -361,7 +253,6 @@ impl KvsWorkload {
             batch_is_get,
             batch_idx,
             get_results,
-            log,
         })
     }
 
@@ -390,23 +281,28 @@ impl KvsWorkload {
             .collect()
     }
 
-    fn upload_batch(
-        &self,
-        machine: &mut Machine,
-        st: &KvsState,
-        pb: &PackedBatch,
-    ) -> SimResult<()> {
+    /// Hash-partitions `ops` into 32-op blocks ([`partition_by_set`]) and
+    /// uploads the batch buffers: keys (0 pads a block), values, GET flags,
+    /// and each slot's original batch index, so GET results land where the
+    /// caller expects them. Returns the number of slots to launch.
+    fn upload_batch(&self, machine: &mut Machine, st: &KvsState, ops: &[KvsOp]) -> SimResult<u64> {
         let p = &self.params;
-        let n = pb.keys.len();
+        let sets: Vec<u64> = ops
+            .iter()
+            .map(|op| gpm_pmkv::hash64(op.0) % p.sets)
+            .collect();
+        let layout = partition_by_set(&sets, OPS_PER_BLOCK as usize, p.batch_capacity() as usize);
+        let n = layout.len();
         let mut keys = Vec::with_capacity(n * 8);
         let mut vals = Vec::with_capacity(n * 8);
         let mut gets = Vec::with_capacity(n * 4);
         let mut idx = Vec::with_capacity(n * 4);
-        for i in 0..n {
-            keys.extend_from_slice(&pb.keys[i].to_le_bytes());
-            vals.extend_from_slice(&pb.vals[i].to_le_bytes());
-            gets.extend_from_slice(&pb.gets[i].to_le_bytes());
-            idx.extend_from_slice(&pb.idx[i].to_le_bytes());
+        for slot in layout {
+            let (k, v, get) = slot.map_or((0, 0, false), |i| ops[i]);
+            keys.extend_from_slice(&k.to_le_bytes());
+            vals.extend_from_slice(&v.to_le_bytes());
+            gets.extend_from_slice(&u32::from(get).to_le_bytes());
+            idx.extend_from_slice(&(slot.unwrap_or(0) as u32).to_le_bytes());
         }
         machine.host_write(Addr::hbm(st.batch_keys), &keys)?;
         machine.host_write(Addr::hbm(st.batch_vals), &vals)?;
@@ -417,13 +313,13 @@ impl KvsWorkload {
         // DMA of the request batch to the GPU, plus per-GET response
         // marshalling (the common cost that moderates the 95:5 mix's GPM
         // advantage, §6.1).
-        let n_gets = pb.gets.iter().filter(|&&g| g != 0).count() as f64;
-        let t = Ns(pb.real_ops as f64 * p.pipeline_ns)
+        let n_gets = ops.iter().filter(|op| op.2).count() as f64;
+        let t = Ns(ops.len() as f64 * p.pipeline_ns)
             + Ns(n_gets * p.get_response_ns)
             + machine.cfg.dma_init_overhead
             + Ns((keys.len() + vals.len() + gets.len() + idx.len()) as f64 / machine.cfg.pcie_bw);
         machine.clock.advance(t);
-        Ok(())
+        Ok(n as u64)
     }
 
     /// The batched SET/GET kernel (Figure 6a). `persist=false` is the
@@ -443,9 +339,8 @@ impl KvsWorkload {
         to_pm: bool,
         persist: bool,
     ) -> impl gpm_gpu::Kernel<State = (), Shared = ()> + '_ {
-        let p = self.params;
-        let shard = st.shard(p.sets);
-        let detect = st.detect.dev();
+        let shard = st.store.dev;
+        let detect = st.store.txn.area.dev();
         let (keys, vals, gets, idx, results) = (
             st.batch_keys,
             st.batch_vals,
@@ -453,7 +348,7 @@ impl KvsWorkload {
             st.batch_idx,
             st.get_results,
         );
-        let log = st.log.dev();
+        let log = st.store.log.dev();
         let inject = self.inject_double_apply;
         let detectable = to_pm && persist;
         FnKernel(move |ctx: &mut ThreadCtx<'_>| {
@@ -499,29 +394,41 @@ impl KvsWorkload {
         })
     }
 
-    /// Opens (or, on a retry, re-enters) the detect epoch for transaction
-    /// `seq`: a still-armed transaction flag for this very `seq` means the
-    /// caller is resubmitting a crashed batch, so the epoch minted before
-    /// the crash is reused and the descriptors written then keep matching.
-    /// A fresh batch arms the flag and advances the epoch.
-    fn enter_epoch(&self, machine: &mut Machine, st: &KvsState, seq: u64) -> SimResult<u64> {
-        if st.flag.active(machine)? == seq + 1 {
-            st.detect
-                .epoch(machine)
-                .map_err(|_| SimError::Invalid("detect epoch read failed"))
-        } else {
-            st.flag.begin(machine, seq + 1)?;
-            st.detect
-                .begin_epoch(machine)
-                .map_err(|_| SimError::Invalid("detect epoch advance failed"))
-        }
+    /// The GPM launch of an uploaded batch of `n` slots, up to and not
+    /// including its commit: opens (or, on a resubmission, re-enters) the
+    /// detect epoch of transaction `seq` ([`DetectTxn::enter`]) and runs
+    /// the detectable batch kernel in a persist window.
+    /// [`apply_batch_gauged`](KvsWorkload::apply_batch_gauged) commits
+    /// after it; Table 5's measurement and the double-crash drill crash
+    /// before the commit instead.
+    fn launch_detectable(
+        &self,
+        machine: &mut Machine,
+        st: &KvsState,
+        seq: u64,
+        n: u64,
+        gauge: &mut FuelGauge,
+    ) -> Result<(), LaunchError> {
+        let epoch = st.store.txn.enter(machine, seq).map_err(LaunchError::Sim)?;
+        gpm_persist_begin(machine);
+        launch_with_gauge(
+            machine,
+            self.cfg_for_ops(n),
+            &self.batch_kernel(st, n, epoch, true, true),
+            gauge,
+        )?;
+        gpm_persist_end(machine);
+        Ok(())
     }
 
     /// Applies one batch of operations through the shared kernel-launch
     /// path: upload + launch + persist/commit protocol for `mode`. `seq`
     /// numbers the transaction (the flag records `seq + 1`). This is the
     /// single entry point both the closed-loop suite and the `gpm-serve`
-    /// frontend drive — there is no second kernel-launch code path.
+    /// frontend drive; Table 5's measurement and the double-crash drill
+    /// share its launch step ([`launch_detectable`]).
+    ///
+    /// [`launch_detectable`]: KvsWorkload::launch_detectable
     ///
     /// Batches may be any size up to [`KvsParams::ops_per_batch`] (the
     /// buffer capacity).
@@ -537,11 +444,14 @@ impl KvsWorkload {
         ops: &[KvsOp],
         mode: Mode,
     ) -> SimResult<BatchMetrics> {
-        match self.apply_batch_gauged(machine, st, seq, ops, mode, &mut FuelGauge::Unlimited) {
-            Ok(m) => Ok(m),
-            Err(LaunchError::Crashed(_)) => unreachable!("unlimited gauge never crashes"),
-            Err(LaunchError::Sim(e)) => Err(e),
-        }
+        expect_clean(self.apply_batch_gauged(
+            machine,
+            st,
+            seq,
+            ops,
+            mode,
+            &mut FuelGauge::Unlimited,
+        ))
     }
 
     /// [`apply_batch`](KvsWorkload::apply_batch) driven through a
@@ -570,28 +480,14 @@ impl KvsWorkload {
         }
         let t0 = machine.clock.now();
         let s0 = machine.stats;
-        let packed = self.pack_batch(ops);
-        self.upload_batch(machine, st, &packed)
+        let n = self
+            .upload_batch(machine, st, ops)
             .map_err(LaunchError::Sim)?;
-        let n = packed.len();
         let cfg = self.cfg_for_ops(n);
         match mode {
             Mode::Gpm => {
-                let epoch = self
-                    .enter_epoch(machine, st, seq)
-                    .map_err(LaunchError::Sim)?;
-                gpm_persist_begin(machine);
-                launch_with_gauge(
-                    machine,
-                    cfg,
-                    &self.batch_kernel(st, n, epoch, true, true),
-                    gauge,
-                )?;
-                gpm_persist_end(machine);
-                st.flag.commit(machine).map_err(LaunchError::Sim)?;
-                st.log
-                    .host_clear(machine)
-                    .map_err(|_| LaunchError::Sim(SimError::Invalid("log clear failed")))?;
+                self.launch_detectable(machine, st, seq, n, gauge)?;
+                st.store.commit(machine).map_err(LaunchError::Sim)?;
             }
             Mode::GpmNdp => {
                 launch_with_gauge(
@@ -601,16 +497,16 @@ impl KvsWorkload {
                     gauge,
                 )?;
                 // CPU guarantees persistence for the whole table + log.
-                flush_from_cpu(machine, st.pm_table, p.table_bytes(), p.cap_threads);
+                let log = &st.store.log;
                 flush_from_cpu(
                     machine,
-                    st.log.region.offset,
-                    st.log.region.len,
+                    st.store.dev.pm_base,
+                    p.table_bytes(),
                     p.cap_threads,
                 );
+                flush_from_cpu(machine, log.region.offset, log.region.len, p.cap_threads);
                 // Batch committed: truncate the undo log.
-                st.log
-                    .host_clear(machine)
+                log.host_clear(machine)
                     .map_err(|_| LaunchError::Sim(SimError::Invalid("clear")))?;
             }
             Mode::CapFs | Mode::CapMm => {
@@ -630,7 +526,7 @@ impl KvsWorkload {
                 cap_persist_region(
                     machine,
                     flavor,
-                    st.hbm_table,
+                    st.store.dev.hbm_base,
                     st.staging_dram,
                     st.cap_pm,
                     p.table_bytes(),
@@ -670,60 +566,6 @@ impl KvsWorkload {
         machine.read_u64(Addr::hbm(st.get_results + op_index * 8))
     }
 
-    /// Rebuilds the volatile HBM mirror from the durable PM table after a
-    /// crash (one PM→GPU sweep over PCIe), so a recovered instance can
-    /// serve GETs out of HBM again. Timed as a bulk DMA.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn rebuild_mirror(&self, machine: &mut Machine, st: &KvsState) -> SimResult<()> {
-        let bytes = self.params.table_bytes();
-        let mut buf = vec![0u8; bytes as usize];
-        machine.read(Addr::pm(st.pm_table), &mut buf)?;
-        machine.host_write(Addr::hbm(st.hbm_table), &buf)?;
-        let t = machine.cfg.dma_init_overhead + Ns(bytes as f64 / machine.cfg.pcie_bw);
-        machine.clock.advance(t);
-        Ok(())
-    }
-
-    /// In-place *retry* recovery: rebuilds the HBM mirror from the durable
-    /// PM table and touches nothing else. The table, the descriptor area
-    /// and the transaction flag stay exactly as the crash left them, so
-    /// resubmitting the in-flight batch (same `seq`, same ops) applies
-    /// precisely the operations that had not yet applied — the detectable
-    /// protocol skips the rest. Idempotent: running it any number of times
-    /// is equivalent to running it once. The alternative strategy,
-    /// [`recover`](KvsWorkload::recover), *rolls the batch back* instead;
-    /// the two are mutually exclusive per crash (rollback clears the flag,
-    /// which retires the epoch a retry would need).
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn recover_for_retry(&self, machine: &mut Machine, st: &KvsState) -> SimResult<()> {
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryBegin);
-        }
-        let result = self.rebuild_mirror(machine, st);
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryEnd);
-        }
-        result
-    }
-
-    /// Snapshots the durable PM table image (host-side read, no simulated
-    /// cost) so tests can compare store state byte-for-byte across runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn store_image(&self, machine: &Machine, st: &KvsState) -> SimResult<Vec<u8>> {
-        let mut buf = vec![0u8; self.params.table_bytes() as usize];
-        machine.read(Addr::pm(st.pm_table), &mut buf)?;
-        Ok(buf)
-    }
-
     /// Reference model: replays the batches in submission order.
     fn reference_model(&self) -> ShardModel {
         let mut model = ShardModel::new(self.params.sets);
@@ -738,22 +580,16 @@ impl KvsWorkload {
     }
 
     fn verify(&self, machine: &Machine, st: &KvsState, mode: Mode) -> SimResult<bool> {
-        let model = self.reference_model();
-        let base = match mode {
-            Mode::Gpm | Mode::GpmNdp => st.pm_table,
+        let pm_base = match mode {
+            Mode::Gpm | Mode::GpmNdp => st.store.dev.pm_base,
             Mode::CapFs | Mode::CapMm => st.cap_pm,
             _ => return Ok(false),
         };
-        for (&(set, way), &(k, v, ver)) in model.entries() {
-            let slot = base + (set * WAYS + way) * SLOT_BYTES;
-            if machine.read_u64(Addr::pm(slot))? != k
-                || machine.read_u64(Addr::pm(slot + 8))? != v
-                || machine.read_u64(Addr::pm(slot + 16))? != ver
-            {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let table = ShardDev {
+            pm_base,
+            ..st.store.dev
+        };
+        table.holds(machine, &self.reference_model())
     }
 
     /// Runs the workload under `mode` on a fresh machine region.
@@ -785,27 +621,20 @@ impl KvsWorkload {
         );
         let st = self.setup(machine, Mode::Gpm)?;
         let p = &self.params;
+        let last = p.batches - 1;
         let mut metrics = metered(machine, |m| {
-            for b in 0..p.batches {
-                let ops = self.gen_batch(b);
-                let packed = self.pack_batch(&ops);
-                self.upload_batch(m, &st, &packed)?;
-                let epoch = self.enter_epoch(m, &st, b as u64)?;
-                gpm_persist_begin(m);
-                launch(
-                    m,
-                    self.cfg_for_ops(packed.len()),
-                    &self.batch_kernel(&st, packed.len(), epoch, true, true),
-                )?;
-                gpm_persist_end(m);
-                if b + 1 < p.batches {
-                    st.flag.commit(m)?;
-                    st.log
-                        .host_clear(m)
-                        .map_err(|_| SimError::Invalid("clear"))?;
-                }
-                // Final batch: crash before commit.
+            for b in 0..last {
+                self.apply_batch(m, &st, b as u64, &self.gen_batch(b), Mode::Gpm)?;
             }
+            // Final batch: crash before commit.
+            let n = self.upload_batch(m, &st, &self.gen_batch(last))?;
+            expect_clean(self.launch_detectable(
+                m,
+                &st,
+                last as u64,
+                n,
+                &mut FuelGauge::Unlimited,
+            ))?;
             Ok::<bool, SimError>(true)
         })?;
         machine.crash();
@@ -821,93 +650,19 @@ impl KvsWorkload {
         Ok(metrics)
     }
 
-    /// The recovery kernel (Figure 6b): undo logged insertions, newest
-    /// first, removing each entry only after the store is persisted.
-    /// Public so a serving frontend can replay recovery when it boots a
-    /// shard over a crashed machine image, before admitting traffic.
+    /// Rollback recovery (Figure 6b, [`ShardStore::recover`]): undo the
+    /// logged insertions newest-first, removing each entry only after the
+    /// store is persisted. Public so a serving frontend can replay recovery
+    /// when it boots a shard over a crashed machine image, before admitting
+    /// traffic. With `inject_recovery_bug` set the drain drops the newest
+    /// entry unapplied — the deliberate bug the campaign's self-test must
+    /// catch.
     ///
     /// # Errors
     ///
     /// Propagates platform errors.
     pub fn recover(&self, machine: &mut Machine, st: &KvsState) -> SimResult<()> {
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryBegin);
-        }
-        let result = match self.recover_gauged(machine, st, &mut FuelGauge::Unlimited) {
-            Ok(()) => Ok(()),
-            Err(LaunchError::Crashed(_)) => unreachable!("unlimited gauge never crashes"),
-            Err(LaunchError::Sim(e)) => Err(e),
-        };
-        if machine.trace_enabled() {
-            machine.trace(EventKind::RecoveryEnd);
-        }
-        result
-    }
-
-    /// Gauge-driven recovery. With a crashing gauge the undo kernel itself
-    /// can run out of fuel mid-drain — the double-crash scenario. Because
-    /// each entry is removed only *after* its undo store persists, a
-    /// partial drain leaves the log replayable and a second [`recover`]
-    /// call is idempotent.
-    ///
-    /// When `inject_recovery_bug` is set, thread 0 drops the newest undo
-    /// entry without applying it — the deliberate bug the campaign's
-    /// self-test must catch.
-    ///
-    /// [`recover`]: KvsWorkload::recover
-    fn recover_gauged(
-        &self,
-        machine: &mut Machine,
-        st: &KvsState,
-        gauge: &mut FuelGauge,
-    ) -> Result<(), LaunchError> {
-        if st.flag.active(machine).map_err(LaunchError::Sim)? == 0 {
-            return Ok(()); // no transaction was active
-        }
-        // The deliberate bug targets the first thread whose per-thread HCL
-        // partition holds an entry: that thread drops it without applying.
-        let victim = if self.inject_recovery_bug {
-            let mut v = None;
-            for tid in 0..self.launch_cfg().total_threads() {
-                let tail = st
-                    .log
-                    .host_tail(machine, tid)
-                    .map_err(|_| LaunchError::Sim(SimError::Invalid("log tail")))?;
-                if tail as usize * 4 >= UNDO_BYTES {
-                    v = Some(tid);
-                    break;
-                }
-            }
-            v
-        } else {
-            None
-        };
-        let log = st.log.dev();
-        let pm_table = st.pm_table;
-        gpm_persist_begin(machine);
-        // Blocks cooperatively drain the shared log: each iteration's tail
-        // read sees the removals of the blocks before it.
-        let k = FnKernel(move |ctx: &mut ThreadCtx<'_>| {
-            if Some(ctx.global_id()) == victim && log.tail(ctx)? as usize * 4 >= UNDO_BYTES {
-                log.remove(ctx, UNDO_BYTES)?;
-            }
-            while log.tail(ctx)? as usize * 4 >= UNDO_BYTES {
-                let mut entry = [0u8; UNDO_BYTES];
-                log.read_top(ctx, &mut entry)?;
-                let set = u32::from_le_bytes(entry[0..4].try_into().unwrap()) as u64;
-                let way = u32::from_le_bytes(entry[4..8].try_into().unwrap()) as u64;
-                let slot = pm_table + (set * WAYS + way) * SLOT_BYTES;
-                ctx.st_bytes(Addr::pm(slot), &entry[8..40])?;
-                ctx.gpm_persist()?;
-                log.remove(ctx, UNDO_BYTES)?;
-            }
-            Ok(())
-        });
-        launch_with_gauge(machine, self.launch_cfg(), &k, gauge)?;
-        gpm_persist_end(machine);
-        // Recovery complete: clear the transaction flag.
-        st.flag.commit(machine).map_err(LaunchError::Sim)?;
-        Ok(())
+        st.store.recover(machine, self.inject_recovery_bug)
     }
 
     /// Gauge-driven GPM batch loop for the campaign oracle. `committed`
@@ -947,33 +702,27 @@ impl KvsWorkload {
             "exact undo verification requires unique keys (no skew)"
         );
         let st = self.setup(machine, Mode::Gpm)?;
-        let ops = self.gen_batch(0);
-        let packed = self.pack_batch(&ops);
-        self.upload_batch(machine, &st, &packed)?;
-        let epoch = self.enter_epoch(machine, &st, 0)?;
-        gpm_persist_begin(machine);
-        match launch_with_fuel(
-            machine,
-            self.cfg_for_ops(packed.len()),
-            &self.batch_kernel(&st, packed.len(), epoch, true, true),
-            fuel,
-        ) {
-            Ok(_) => {
-                gpm_persist_end(machine);
+        let n = self.upload_batch(machine, &st, &self.gen_batch(0))?;
+        match self.launch_detectable(machine, &st, 0, n, &mut FuelGauge::crash(fuel)) {
+            Ok(()) => {
                 machine.crash();
             }
             Err(LaunchError::Crashed(_)) => {}
             Err(LaunchError::Sim(e)) => return Err(e),
         }
-        // First recovery attempt dies after `recovery_fuel` ops.
-        match self.recover_gauged(machine, &st, &mut FuelGauge::crash(recovery_fuel)) {
-            Ok(()) => {} // recovery finished before the fuel ran out
-            Err(LaunchError::Crashed(_)) => {}
-            Err(LaunchError::Sim(e)) => return Err(e),
+        // First recovery attempt dies after `recovery_fuel` ops (or
+        // finishes before the fuel runs out).
+        let drain = st.store.recover_gauged(
+            machine,
+            self.inject_recovery_bug,
+            &mut FuelGauge::crash(recovery_fuel),
+        );
+        if let Err(LaunchError::Sim(e)) = drain {
+            return Err(e);
         }
         // Second recovery must finish the drain.
         self.recover(machine, &st)?;
-        let shard = st.shard(self.params.sets);
+        let shard = st.store.dev;
         for (key, _, is_get) in self.gen_batch(0) {
             if is_get {
                 continue;
@@ -1036,7 +785,7 @@ impl RecoveryOracle for KvsWorkload {
         }
         // ...and none of the in-flight batch's keys.
         if committed < self.params.batches {
-            let shard = st.shard(self.params.sets);
+            let shard = st.store.dev;
             for (key, _, is_get) in self.gen_batch(committed) {
                 if is_get {
                     continue;
@@ -1081,10 +830,10 @@ impl RecoveryOracle for KvsWorkload {
         crate::oracle::settle_crash(machine, policy, res)?;
         // Retry recovery, run TWICE: it must be idempotent (a crash during
         // recovery itself only means running it again).
-        self.recover_for_retry(machine, &st)?;
-        self.recover_for_retry(machine, &st)?;
+        st.store.recover_for_retry(machine)?;
+        st.store.recover_for_retry(machine)?;
         // Resubmit the in-flight batch verbatim, then the remaining ones.
-        let shard = st.shard(self.params.sets);
+        let shard = st.store.dev;
         for b in committed..self.params.batches {
             let ops = self.gen_batch(b);
             self.apply_batch(machine, &st, b as u64, &ops, Mode::Gpm)?;

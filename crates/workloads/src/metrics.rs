@@ -222,29 +222,15 @@ impl LatencyHistogram {
     /// The `q`-quantile (`0.0 ..= 1.0`), reported as the inclusive upper
     /// edge of the bucket holding that rank — never an underestimate, and
     /// at most 12.5% above the true value. An empty histogram reports
-    /// [`Ns::ZERO`].
+    /// [`Ns::ZERO`]. One-element [`quantiles`](LatencyHistogram::quantiles).
     pub fn percentile(&self, q: f64) -> Ns {
-        if self.count == 0 {
-            return Ns::ZERO;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Ns(hist_upper(idx).min(self.max_ns) as f64);
-            }
-        }
-        Ns(self.max_ns as f64)
+        self.quantiles(&[q])[0]
     }
 
     /// The quantiles for every `q` in `qs`, answered in one cumulative
-    /// pass over the buckets — each element equals
-    /// [`percentile`](LatencyHistogram::percentile)`(q)` exactly, but the
-    /// cost is O(buckets + qs·log qs) instead of O(buckets × qs). The
-    /// serve reporting paths pull four or five quantiles per histogram
-    /// across a whole sweep matrix, which is where the repeated walks
-    /// were going.
+    /// pass over the buckets: O(buckets + qs·log qs) rather than one walk
+    /// per quantile. The serve reporting paths pull four or five quantiles
+    /// per histogram across a whole sweep matrix.
     ///
     /// # Examples
     ///

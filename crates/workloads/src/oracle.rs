@@ -135,15 +135,16 @@ pub fn settle_crash(
     }
 }
 
-/// Unwraps a recording drive, which must never crash.
+/// Unwraps a drive that cannot crash: one under a recording or an
+/// unlimited gauge.
 ///
 /// # Errors
 ///
 /// Propagates platform errors from the drive.
-pub fn expect_clean(res: Result<(), LaunchError>) -> SimResult<()> {
+pub fn expect_clean<T>(res: Result<T, LaunchError>) -> SimResult<T> {
     match res {
-        Ok(()) => Ok(()),
-        Err(LaunchError::Crashed(_)) => unreachable!("recording gauge never crashes"),
+        Ok(v) => Ok(v),
+        Err(LaunchError::Crashed(_)) => unreachable!("a drive without a crash point crashed"),
         Err(LaunchError::Sim(e)) => Err(e),
     }
 }

@@ -72,9 +72,11 @@ fn run_differential(
         // must then be a pure no-op on the committed state.
         m.crash_with_policy(policy);
     }
-    w.recover_for_retry(&mut m, &st)
+    st.store()
+        .recover_for_retry(&mut m)
         .map_err(|e| format!("recover: {e:?}"))?;
-    w.recover_for_retry(&mut m, &st)
+    st.store()
+        .recover_for_retry(&mut m)
         .map_err(|e| format!("second recover: {e:?}"))?;
     for (b, ops) in batches.iter().enumerate().skip(committed) {
         w.apply_batch(&mut m, &st, b as u64, ops, Mode::Gpm)

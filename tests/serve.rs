@@ -5,7 +5,7 @@
 
 use gpm_gpu::{FuelGauge, LaunchError};
 use gpm_serve::{
-    run_cluster, serve_shard, ArrivalShape, BackendKind, BatchPolicy, ClusterConfig,
+    run_cluster, serve_engine, ArrivalShape, BackendKind, BatchPolicy, ClusterConfig,
     ClusterOutcome, FaultPlan, Op, Request, Shard, TrafficConfig, Verdict,
 };
 use gpm_sim::Ns;
@@ -163,9 +163,9 @@ fn kvs_crash_and_in_place_retry_matches_uncrashed_run() {
     };
     let run = |faults: &FaultPlan| {
         let mut shard = Shard::new_kvs(KvsParams::quick(), Mode::Gpm).unwrap();
-        let report = serve_shard(&mut shard, &stream, &policy, faults).unwrap();
-        let (machine, workload, st) = shard.into_kvs_parts();
-        let table = workload.store_image(&machine, &st).unwrap();
+        let report = serve_engine(&mut shard, &stream, &policy, faults).unwrap();
+        let (machine, _, st) = shard.into_kvs_parts();
+        let table = st.store().store_image(&machine).unwrap();
         let responses: Vec<(u64, Verdict)> =
             report.responses.iter().map(|r| (r.id, r.verdict)).collect();
         (report.retries, responses, table)
@@ -213,7 +213,7 @@ fn db_crash_and_in_place_retry_matches_uncrashed_run() {
     };
     let run = |faults: &FaultPlan| {
         let mut shard = Shard::new_db(p, Mode::Gpm).unwrap();
-        let report = serve_shard(&mut shard, &stream, &policy, faults).unwrap();
+        let report = serve_engine(&mut shard, &stream, &policy, faults).unwrap();
         let (machine, workload, st) = shard.into_db_parts();
         let rows = st.durable_rows(&machine).unwrap();
         let table = workload.store_image(&machine, &st).unwrap();
@@ -420,7 +420,7 @@ fn recovery_runs_before_admission_on_a_crashed_image() {
             op: Op::Get { key },
         })
         .collect();
-    let report = serve_shard(
+    let report = serve_engine(
         &mut booted,
         &gets,
         &BatchPolicy::default(),

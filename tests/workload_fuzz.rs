@@ -2,8 +2,9 @@
 //! reference model for arbitrary (small) input shapes, not just the tuned
 //! defaults.
 
-use gpm_integration::{check, range};
+use gpm_integration::{check, len, range};
 use gpm_sim::{CrashPolicy, Machine, MachineConfig};
+use gpm_workloads::hash_shard::partition_by_set;
 use gpm_workloads::{
     BfsParams, BfsWorkload, DbOp, DbParams, DbWorkload, KvsParams, KvsWorkload, Mode, PsParams,
     PsWorkload, RecoveryOracle, SradParams, SradWorkload,
@@ -149,6 +150,80 @@ fn kvs_crash_recovery_for_arbitrary_shapes() {
                 .run_case(&mut Machine::default(), fuel, CrashPolicy::Random(seed))
                 .unwrap();
             assert!(v.passed(), "ops=2^{ops_pow} fuel={fuel} seed={seed}: {v:?}");
+            Ok(())
+        },
+    );
+}
+
+/// `partition_by_set`'s contract over random set lists, block sizes and
+/// capacities: every item appears once and same-set items keep their input
+/// order; the layout falls back to the input order exactly when a set's
+/// group exceeds a block or the padded layout exceeds `capacity`; outside
+/// the fallback the items ascend by set, no set straddles a block, and the
+/// layout fits `capacity` with no more padding than the groups need.
+#[test]
+fn partition_by_set_keeps_its_contract() {
+    check(
+        "partition_by_set_keeps_its_contract",
+        gpm_integration::CASES,
+        96,
+        |rng, size| {
+            let n = len(rng, 0, size);
+            let n_sets = range(rng, 1, 24);
+            let sets: Vec<u64> = (0..n).map(|_| range(rng, 0, n_sets)).collect();
+            let per_block = range(rng, 1, 33) as usize;
+            let capacity = n + range(rng, 0, n as u64 + 8) as usize;
+            (sets, per_block, capacity)
+        },
+        |(sets, per_block, capacity)| {
+            let (n, per_block, capacity) = (sets.len(), *per_block, *capacity);
+            let layout = partition_by_set(sets, per_block, capacity);
+            let items: Vec<usize> = layout.iter().flatten().copied().collect();
+            let mut sorted = items.clone();
+            sorted.sort_unstable();
+            if sorted != (0..n).collect::<Vec<_>>() {
+                return Err(format!("items {items:?} are not each item once"));
+            }
+            for (a, &i) in items.iter().enumerate() {
+                if items[a + 1..].iter().any(|&j| sets[j] == sets[i] && j < i) {
+                    return Err(format!("item {i} moved ahead of a same-set item"));
+                }
+            }
+            // The padded layout, group by group in set order.
+            let mut by_set: Vec<u64> = sets.clone();
+            by_set.sort_unstable();
+            let mut padded = 0usize;
+            let fallback = by_set.chunk_by(|a, b| a == b).any(|group| {
+                if padded % per_block + group.len() > per_block {
+                    padded = padded.next_multiple_of(per_block);
+                }
+                padded += group.len();
+                group.len() > per_block || padded > capacity
+            });
+            if fallback {
+                return if layout == (0..n).map(Some).collect::<Vec<_>>() {
+                    Ok(())
+                } else {
+                    Err("expected the input-order fallback".into())
+                };
+            }
+            if items.windows(2).any(|w| sets[w[0]] > sets[w[1]]) {
+                return Err("items do not ascend by set".into());
+            }
+            if layout.len() != padded || layout.len() > capacity {
+                return Err(format!(
+                    "layout of {} slots, want {padded} within {capacity}",
+                    layout.len()
+                ));
+            }
+            let mut block_of = std::collections::HashMap::new();
+            for (slot, item) in layout.iter().enumerate() {
+                if let Some(i) = item {
+                    if *block_of.entry(sets[*i]).or_insert(slot / per_block) != slot / per_block {
+                        return Err(format!("set {} straddles a block", sets[*i]));
+                    }
+                }
+            }
             Ok(())
         },
     );
