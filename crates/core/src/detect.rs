@@ -25,9 +25,16 @@
 //!    under epoch persistency an ordinary `gpm_persist` only orders the
 //!    record into the open epoch, and a crash could then settle the mark
 //!    without the record.
-//! 3. **Mark** — write the tag into the descriptor slot. It becomes durable
-//!    at the batch's commit fence; ordering after step 2 is all that is
-//!    required.
+//! 3. **Mark** — write the tag into the descriptor slot, ordered after
+//!    step 2's publish. No fence follows it, and a batch's commit flushes
+//!    only the transaction flag and the log tails, not the descriptor area:
+//!    the mark drains at the next system fence by the same writer id,
+//!    usually in a later batch, or a crash settles it either way. The
+//!    record check (the table's second row below; step 3 of
+//!    `gpm_workloads::hash_shard`'s SET) covers a lost mark, except where a
+//!    later operation of the same batch overwrote the record: see the
+//!    [eviction caveat](../gpm_workloads/hash_shard/index.html) in that
+//!    module's doc.
 //!
 //! After a crash, recovery inspects (descriptor, record) per operation:
 //!
@@ -117,8 +124,10 @@ impl DetectDev {
 
     /// Marks operation `slot` as applied (step 3). Must only be called
     /// after the operation's record reached media via
-    /// [`DetectableCas::publish`] — the mark itself becomes durable at the
-    /// batch's commit fence.
+    /// [`DetectableCas::publish`]. The mark is stored without a fence: it
+    /// drains at this writer id's next system fence, usually in a later
+    /// batch, and a crash before then may drop it (recovery then finds the
+    /// record's tag instead).
     ///
     /// # Errors
     ///

@@ -344,9 +344,9 @@ impl Machine {
 
     /// System-scope fences by a warp's lockstep lanes: `lanes` fences by
     /// writers `writer0 .. writer0 + lanes`, counted individually but drained
-    /// (or epoch-closed) in one pass over the pending lines. Lines shared
-    /// between lanes drain once — exactly what sequential per-lane fences
-    /// would leave behind, reached in one pass.
+    /// (or epoch-closed) in one call that visits only those writers' pending
+    /// lines. Lines shared between lanes drain once — exactly what
+    /// sequential per-lane fences would leave behind.
     ///
     /// Emits a single [`EventKind::SystemFence`] carrying the total; callers
     /// needing per-lane fence events must issue per-lane fences instead (the

@@ -12,11 +12,19 @@
 //! Media lives in [`PagedBytes`] (fixed 64 KiB pages, so growth never
 //! re-zeroes established bytes). The pending lines live in one hash map from
 //! line index to the line's visible bytes, its writers with un-persisted
-//! stores, and whether an epoch fence has closed it. A fence, an epoch drain
-//! or a range flush is one pass over the pending lines, so its cost follows
-//! how many lines are pending, not the address span they cover. A crash sorts
-//! the pending lines by address before it consults its policy, so "the
-//! `i`-th line" of a [`CrashPolicy`] means the `i`-th lowest address.
+//! stores, and whether an epoch fence has closed it. A second map, the
+//! *writer index*, lists for each writer the lines whose writer set it
+//! joined, so a fence or an epoch close visits only the fencing writers'
+//! lines. An entry goes stale when its line drains some other way (a range
+//! flush, an epoch drain, a durable write, another writer's fence); lookups
+//! skip stale entries, and a prune drops them once they outnumber the live
+//! ones plus a small constant. A range flush probes its own span's lines
+//! when the span is shorter than the pending set, and otherwise makes one
+//! pass over the pending lines, as an epoch drain does. So every drain costs
+//! what it drains, not the address span or the pending lines of other
+//! writers. A crash sorts the pending lines by address before it consults its
+//! policy, so "the `i`-th line" of a [`CrashPolicy`] means the `i`-th lowest
+//! address.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -39,60 +47,106 @@ pub const HOST_WRITER: WriterId = u32::MAX;
 /// eight covers the common stride-8 and mixed cases without spilling.
 const INLINE_WRITERS: usize = 8;
 
-/// The set of writers with un-persisted stores to one line. Inline up to
-/// [`INLINE_WRITERS`] ids; spills to a `Vec` only for byte-granular sharing.
+/// Lines tracked inline per writer in the writer index before spilling to
+/// the heap. Up to three the inline list is no larger than the spilled
+/// `Vec` it shares an enum with, and most writers hold one or two lines
+/// between fences.
+const INLINE_LINES: usize = 3;
+
+/// Stale writer-index entries tolerated beyond the live ones before a prune
+/// runs: the index holds at most `2 × live + INDEX_SLACK` entries.
+const INDEX_SLACK: usize = 64;
+
+/// A short list kept inline, spilling to a `Vec` past `N` items.
 #[derive(Debug, Clone)]
-enum Writers {
-    Inline {
-        ids: [WriterId; INLINE_WRITERS],
-        len: u8,
-    },
-    Spill(Vec<WriterId>),
+enum SmallList<T, const N: usize> {
+    Inline { items: [T; N], len: u8 },
+    Spill(Vec<T>),
 }
 
-impl Default for Writers {
-    fn default() -> Writers {
-        Writers::Inline {
-            ids: [0; INLINE_WRITERS],
+impl<T: Copy + Default, const N: usize> Default for SmallList<T, N> {
+    fn default() -> Self {
+        SmallList::Inline {
+            items: [T::default(); N],
             len: 0,
         }
     }
 }
 
-impl Writers {
-    /// Whether any tracked writer falls in `[w0, w0 + n)`. One pass over the
-    /// set, so a warp-wide fence probes each line once instead of 32 times.
-    fn contains_range(&self, w0: WriterId, n: u32) -> bool {
-        let hit = |w: WriterId| w.wrapping_sub(w0) < n;
+impl<T: Copy + Default, const N: usize> SmallList<T, N> {
+    fn as_slice(&self) -> &[T] {
         match self {
-            Writers::Inline { ids, len } => ids[..*len as usize].iter().copied().any(hit),
-            Writers::Spill(v) => v.iter().copied().any(hit),
+            SmallList::Inline { items, len } => &items[..*len as usize],
+            SmallList::Spill(v) => v,
         }
     }
 
-    fn insert(&mut self, w: WriterId) {
+    fn as_mut_slice(&mut self) -> &mut [T] {
         match self {
-            Writers::Inline { ids, len } => {
-                if ids[..*len as usize].contains(&w) {
-                    return;
-                }
-                if (*len as usize) < INLINE_WRITERS {
-                    ids[*len as usize] = w;
-                    *len += 1;
-                } else {
-                    let mut v = ids.to_vec();
-                    v.push(w);
-                    *self = Writers::Spill(v);
-                }
+            SmallList::Inline { items, len } => &mut items[..*len as usize],
+            SmallList::Spill(v) => v,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn push(&mut self, x: T) {
+        match self {
+            SmallList::Inline { items, len } if (*len as usize) < N => {
+                items[*len as usize] = x;
+                *len += 1;
             }
-            Writers::Spill(v) => {
-                if !v.contains(&w) {
-                    v.push(w);
-                }
+            SmallList::Inline { items, .. } => {
+                let mut v = items.to_vec();
+                v.push(x);
+                *self = SmallList::Spill(v);
             }
+            SmallList::Spill(v) => v.push(x),
+        }
+    }
+
+    /// Keeps the items `keep` accepts, in order; `keep` sees every item once.
+    fn retain(&mut self, mut keep: impl FnMut(T) -> bool) {
+        match self {
+            SmallList::Inline { items, len } => {
+                let mut kept = 0;
+                for i in 0..*len as usize {
+                    if keep(items[i]) {
+                        items[kept] = items[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            SmallList::Spill(v) => v.retain(|&x| keep(x)),
         }
     }
 }
+
+/// The set of writers with un-persisted stores to one line. Inline up to
+/// [`INLINE_WRITERS`] ids; spills to a `Vec` only for byte-granular sharing.
+type Writers = SmallList<WriterId, INLINE_WRITERS>;
+
+impl Writers {
+    fn contains(&self, w: WriterId) -> bool {
+        self.as_slice().contains(&w)
+    }
+
+    /// Adds `w`; returns whether it was new to the set.
+    fn insert(&mut self, w: WriterId) -> bool {
+        let new = !self.contains(w);
+        if new {
+            self.push(w);
+        }
+        new
+    }
+}
+
+/// The lines one writer joined the writer set of, as the writer index holds
+/// them: some may have drained since (stale entries).
+type WriterLines = SmallList<u64, INLINE_LINES>;
 
 /// One pending cache line.
 #[derive(Debug)]
@@ -108,15 +162,20 @@ struct Line {
     closed: bool,
 }
 
-/// Hashes a line index with one multiply by 2^64/φ, rotated so that the
-/// well-mixed high bits of the product pick the bucket. The simulator makes
-/// up the keys itself, so the map needs no resistance to hash flooding.
+/// Hashes a line index or a writer id with one multiply by 2^64/φ, rotated
+/// so that the well-mixed high bits of the product pick the bucket. The
+/// simulator makes up the keys itself, so the maps need no resistance to
+/// hash flooding.
 #[derive(Default)]
-struct LineHasher(u64);
+struct IdHasher(u64);
 
-impl Hasher for LineHasher {
+impl Hasher for IdHasher {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("line indices hash through write_u64");
+        unreachable!("line indices and writer ids hash through write_u64");
+    }
+
+    fn write_u32(&mut self, writer: u32) {
+        self.write_u64(u64::from(writer));
     }
 
     fn write_u64(&mut self, line: u64) {
@@ -127,6 +186,8 @@ impl Hasher for LineHasher {
         self.0.rotate_left(26)
     }
 }
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Copies pending line `line` into media, cut at the device capacity.
 fn write_line(media: &mut PagedBytes, capacity: u64, line: u64, data: &[u8; CPU_LINE as usize]) {
@@ -242,7 +303,16 @@ pub struct PmDevice {
     media: PagedBytes,
     capacity: u64,
     /// Pending lines by line index (byte offset / [`CPU_LINE`]).
-    lines: HashMap<u64, Line, BuildHasherDefault<LineHasher>>,
+    lines: IdMap<u64, Line>,
+    /// The writer index: for each writer, the lines whose writer set it
+    /// joined. Every (writer, pending line holding it) pair is listed at
+    /// least once; an entry whose line drained, or whose line was drained
+    /// and rewritten without this writer, is stale. No list is empty.
+    index: IdMap<WriterId, WriterLines>,
+    /// Entries in `index`, stale ones included.
+    index_len: usize,
+    /// (writer, line) pairs over the pending lines: the live entries.
+    live_pairs: usize,
 }
 
 impl PmDevice {
@@ -252,7 +322,10 @@ impl PmDevice {
         PmDevice {
             media: PagedBytes::new(),
             capacity,
-            lines: HashMap::default(),
+            lines: IdMap::default(),
+            index: IdMap::default(),
+            index_len: 0,
+            live_pairs: 0,
         }
     }
 
@@ -298,7 +371,9 @@ impl PmDevice {
             let lstart = line * CPU_LINE;
             let lend = (lstart + CPU_LINE).min(self.capacity);
             if offset <= lstart && end >= lend {
-                self.lines.remove(&line);
+                if let Some(l) = self.lines.remove(&line) {
+                    self.live_pairs -= l.writers.len();
+                }
             } else if let Some(l) = self.lines.get_mut(&line) {
                 let s = offset.max(lstart);
                 let e = end.min(lstart + CPU_LINE);
@@ -306,6 +381,7 @@ impl PmDevice {
                     .copy_from_slice(&bytes[(s - offset) as usize..(e - offset) as usize]);
             }
         }
+        self.prune_if_stale();
         Ok(())
     }
 
@@ -371,25 +447,34 @@ impl PmDevice {
                     l
                 }
             };
-            // Writers covering this line, in ascending (= lane) order.
+            // Writers covering this line, in ascending (= lane) order. Each
+            // one new to the line's writer set gets a writer-index entry.
             let w_first = writer0 + ((s - offset) / lane_bytes as u64) as WriterId;
             let w_last = writer0 + ((e - 1 - offset) / lane_bytes as u64) as WriterId;
             let n = (w_last - w_first + 1) as usize;
+            let mut joined = 0;
             match &mut l.writers {
                 // Fresh line with few enough lanes: fill the inline set
                 // directly, skipping per-writer membership probes.
-                Writers::Inline { ids, len } if *len == 0 && n <= INLINE_WRITERS => {
-                    for (i, id) in ids[..n].iter_mut().enumerate() {
+                Writers::Inline { items, len } if *len == 0 && n <= INLINE_WRITERS => {
+                    for (i, id) in items[..n].iter_mut().enumerate() {
                         *id = w_first + i as WriterId;
+                        self.index.entry(*id).or_default().push(line);
                     }
                     *len = n as u8;
+                    joined = n;
                 }
                 _ => {
                     for w in w_first..=w_last {
-                        l.writers.insert(w);
+                        if l.writers.insert(w) {
+                            self.index.entry(w).or_default().push(line);
+                            joined += 1;
+                        }
                     }
                 }
             }
+            self.index_len += joined;
+            self.live_pairs += joined;
             l.data[(s - lstart) as usize..(e - lstart) as usize]
                 .copy_from_slice(&bytes[(s - offset) as usize..(e - offset) as usize]);
         }
@@ -423,23 +508,68 @@ impl PmDevice {
     }
 
     /// Drains every pending line `pick` selects into media, in one pass over
-    /// the pending lines. Returns the number of lines made durable.
+    /// the pending lines: the epoch drain, and a range flush whose span
+    /// covers at least as many lines as are pending. Returns the number of
+    /// lines made durable.
     ///
-    /// `retain` drops a drained line where it sits. `extract_if` would move
-    /// each 112-byte line out of the map first, which made a store+fence
-    /// pair about 15% slower.
+    /// `retain` drops a drained line where it sits; `extract_if` would move
+    /// each 112-byte line out of the map first.
     fn drain_where(&mut self, mut pick: impl FnMut(u64, &Line) -> bool) -> u64 {
         let mut n = 0;
-        let (media, capacity) = (&mut self.media, self.capacity);
+        let (media, capacity, live_pairs) = (&mut self.media, self.capacity, &mut self.live_pairs);
         self.lines.retain(|&line, l| {
             let drain = pick(line, l);
             if drain {
                 write_line(media, capacity, line, &l.data);
+                *live_pairs -= l.writers.len();
                 n += 1;
             }
             !drain
         });
+        self.prune_if_stale();
         n
+    }
+
+    /// Drains pending line `line` into media if it is pending and `pick`
+    /// accepts it, with one probe of the line map. Returns whether it
+    /// drained.
+    fn drain_line(&mut self, line: u64, pick: impl FnOnce(&Line) -> bool) -> bool {
+        let Entry::Occupied(o) = self.lines.entry(line) else {
+            return false;
+        };
+        if !pick(o.get()) {
+            return false;
+        }
+        let l = o.remove();
+        write_line(&mut self.media, self.capacity, line, &l.data);
+        self.live_pairs -= l.writers.len();
+        true
+    }
+
+    /// Drops the writer index's stale entries, and repeats of one entry,
+    /// once the index holds more than `2 × live + INDEX_SLACK` entries. A
+    /// prune visits every entry, but at least half of them are stale and go,
+    /// so its cost is constant per entry ever made.
+    fn prune_if_stale(&mut self) {
+        if self.index_len <= 2 * self.live_pairs + INDEX_SLACK {
+            return;
+        }
+        let lines = &self.lines;
+        let mut len = 0;
+        self.index.retain(|&w, own| {
+            // Sorted, the entries of a line that `w` wrote, saw drained and
+            // wrote again sit side by side.
+            own.as_mut_slice().sort_unstable();
+            let mut prev = None;
+            own.retain(|line| {
+                prev.replace(line) != Some(line)
+                    && lines.get(&line).is_some_and(|l| l.writers.contains(w))
+            });
+            len += own.len();
+            own.len() > 0
+        });
+        debug_assert_eq!(len, self.live_pairs, "one entry per live pair");
+        self.index_len = len;
     }
 
     /// Drains every pending line tagged with `writer` into media (the effect
@@ -453,12 +583,26 @@ impl PmDevice {
     }
 
     /// Drains every pending line tagged with any writer in
-    /// `[writer0, writer0 + lanes)` — the effect of a warp's 32 lockstep
-    /// persist fences, executed as one pass instead of 32.
+    /// `[writer0, writer0 + lanes)` (wrapping at `u32::MAX`): the effect of a
+    /// warp's lockstep persist fences. Each writer's index entries are taken
+    /// and each listed line still pending and still holding that writer is
+    /// drained, so the cost follows the fencing writers' lines, not every
+    /// pending line.
     ///
     /// Returns the number of lines made durable.
     pub fn persist_writers_range(&mut self, writer0: WriterId, lanes: u32) -> u64 {
-        self.drain_where(|_, l| l.writers.contains_range(writer0, lanes))
+        let mut n = 0;
+        for w in (0..lanes).map(|i| writer0.wrapping_add(i)) {
+            let Some(own) = self.index.remove(&w) else {
+                continue;
+            };
+            self.index_len -= own.len();
+            for &line in own.as_slice() {
+                n += u64::from(self.drain_line(line, |l| l.writers.contains(w)));
+            }
+        }
+        self.prune_if_stale();
+        n
     }
 
     /// Epoch-persistency fence: marks every pending line tagged with `writer`
@@ -470,22 +614,38 @@ impl PmDevice {
         self.close_writers_range(writer, 1)
     }
 
-    /// Epoch-persistency fences by `[writer0, writer0 + lanes)`: one pass for
-    /// a warp's lockstep epoch fences. Returns the number of lines newly
-    /// closed.
+    /// Epoch-persistency fences by `[writer0, writer0 + lanes)` (wrapping at
+    /// `u32::MAX`): walks those writers' index entries, closes each live
+    /// entry's line and drops the stale entries. Returns the number of lines
+    /// newly closed; a line shared by several of the writers counts once.
     pub fn close_writers_range(&mut self, writer0: WriterId, lanes: u32) -> u64 {
         let mut n = 0;
-        for l in self.lines.values_mut() {
-            if !l.closed && l.writers.contains_range(writer0, lanes) {
-                l.closed = true;
-                n += 1;
+        for w in (0..lanes).map(|i| writer0.wrapping_add(i)) {
+            let Entry::Occupied(mut own) = self.index.entry(w) else {
+                continue;
+            };
+            let before = own.get().len();
+            own.get_mut()
+                .retain(|line| match self.lines.get_mut(&line) {
+                    Some(l) if l.writers.contains(w) => {
+                        n += u64::from(!l.closed);
+                        l.closed = true;
+                        true
+                    }
+                    _ => false,
+                });
+            let after = own.get().len();
+            self.index_len -= before - after;
+            if after == 0 {
+                own.remove();
             }
         }
         n
     }
 
-    /// Epoch boundary: drains every closed pending line into media. Returns
-    /// the number of lines made durable.
+    /// Epoch boundary: drains every closed pending line into media, in one
+    /// pass over the pending lines (one per kernel). Returns the number of
+    /// lines made durable.
     pub fn drain_closed(&mut self) -> u64 {
         self.drain_where(|_, l| l.closed)
     }
@@ -496,12 +656,20 @@ impl PmDevice {
     }
 
     /// Drains every pending line intersecting `[offset, offset+len)` into
-    /// media (the effect of CLFLUSH over a range followed by SFENCE).
+    /// media (the effect of CLFLUSH over a range followed by SFENCE). A span
+    /// of fewer lines than are pending probes its own lines, as
+    /// [`PmDevice::read`] does; a longer one makes one pass over the pending
+    /// lines. Either way the cost follows the smaller of the two.
     ///
     /// Returns the number of lines made durable.
     pub fn persist_range(&mut self, offset: u64, len: u64) -> u64 {
         let span = line_span(offset, len);
-        self.drain_where(|line, _| span.contains(&line))
+        if span.end - span.start >= self.lines.len() as u64 {
+            return self.drain_where(|line, _| span.contains(&line));
+        }
+        let n = span.filter(|&line| self.drain_line(line, |_| true)).count();
+        self.prune_if_stale();
+        n as u64
     }
 
     /// Number of lines currently visible but not durable.
@@ -551,6 +719,9 @@ impl PmDevice {
     fn settle(&mut self, mut apply: impl FnMut(u64) -> bool) -> CrashReport {
         let mut lines: Vec<(u64, Line)> = self.lines.drain().collect();
         lines.sort_unstable_by_key(|&(line, _)| line);
+        self.index.clear();
+        self.index_len = 0;
+        self.live_pairs = 0;
         let mut report = CrashReport::default();
         for (visited, (line, l)) in lines.iter().enumerate() {
             if apply(visited as u64) {
@@ -995,6 +1166,61 @@ mod tests {
         assert_eq!(pm.close_writers_range(0, 8), 4);
         assert_eq!(pm.drain_closed(), 8);
         assert_eq!(pm.pending_line_count(), 0);
+    }
+
+    #[test]
+    fn index_stays_proportional_to_pending_lines() {
+        let mut pm = PmDevice::new(1 << 20);
+        // Writer 1's line stays pending throughout; nothing below drains it.
+        pm.write_visible(1, 0, &[1; 8]).unwrap();
+        let counted = |pm: &PmDevice| {
+            assert!(pm.index.values().all(|own| own.len() > 0), "no empty list");
+            let entries: usize = pm.index.values().map(|own| own.len()).sum();
+            let live: usize = pm.lines.values().map(|l| l.writers.len()).sum();
+            assert_eq!((entries, live), (pm.index_len, pm.live_pairs));
+        };
+        for i in 0..100_000u64 {
+            // Lines 1..=512 recur, and writer `2 + i % 4096` comes back to the
+            // same line, so entries of drained lines meet their rewrites.
+            let line = 1 + i * 7 % 512;
+            let writer = 2 + (i % 4096) as WriterId;
+            pm.write_visible(writer, line * CPU_LINE, &[2; 8]).unwrap();
+            let host_line = 1 + i * 13 % 512;
+            pm.write_visible(HOST_WRITER, host_line * CPU_LINE + 32, &[3; 8])
+                .unwrap();
+            // The host flushes and rewrites line 513 every round, so its
+            // stale entries there sit beside a live one.
+            pm.persist_range(513 * CPU_LINE, 8);
+            pm.write_visible(HOST_WRITER, 513 * CPU_LINE, &[5; 8])
+                .unwrap();
+            match i % 8 {
+                0 => {
+                    pm.persist_range(line * CPU_LINE, 8);
+                }
+                1 => pm.write_durable(host_line * CPU_LINE, &[4; 64]).unwrap(),
+                2 => {
+                    pm.close_writer(writer);
+                    pm.drain_closed();
+                }
+                // Every line but writer 1's, in one pass.
+                3 if i % 64 == 3 => {
+                    pm.persist_range(CPU_LINE, 512 * CPU_LINE);
+                }
+                _ => {}
+            }
+            assert!(
+                pm.index_len <= 2 * pm.live_pairs + INDEX_SLACK,
+                "round {i}: {} entries for {} live pairs",
+                pm.index_len,
+                pm.live_pairs
+            );
+            if i % 1000 == 0 {
+                counted(&pm);
+            }
+        }
+        counted(&pm);
+        assert_eq!(pm.persist_writer(1), 1);
+        assert!(!pm.is_pending(0, 8));
     }
 
     #[test]

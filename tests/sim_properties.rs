@@ -230,8 +230,23 @@ fn stamped(stamp: u8, len: u64) -> Vec<u8> {
     (0..len).map(|j| stamp.wrapping_add(j as u8)).collect()
 }
 
+/// Whether `w` is one of the writers `[writer0, writer0 + lanes)`, counted
+/// in `u64`: a range may end at [`gpm_sim::HOST_WRITER`] (`u32::MAX`).
+fn in_writers(writer0: u32, lanes: u32, w: u32) -> bool {
+    (u64::from(writer0)..u64::from(writer0) + u64::from(lanes)).contains(&u64::from(w))
+}
+
 fn draw_pm_op(rng: &mut Rng) -> PmOp {
-    let writers = |rng: &mut Rng| (range(rng, 0, 48) as u32, range(rng, 1, 33) as u32);
+    // One writer range in four ends exactly at `u32::MAX`, the id every
+    // host-side PM store carries.
+    let writers = |rng: &mut Rng| {
+        let lanes = range(rng, 1, 33) as u32;
+        let writer0 = match range(rng, 0, 4) {
+            0 => u32::MAX - (lanes - 1),
+            _ => range(rng, 0, 48) as u32,
+        };
+        (writer0, lanes)
+    };
     match range(rng, 0, 7) {
         0 | 1 => {
             let lane_bytes = [1, 4, 8, 16][range(rng, 0, 4) as usize];
@@ -334,12 +349,7 @@ impl LineModel {
     fn close(&mut self, writer0: u32, lanes: u32) -> u64 {
         let mut n = 0;
         for entry in self.lines.values_mut() {
-            if !entry.2
-                && entry
-                    .1
-                    .iter()
-                    .any(|&w| (writer0..writer0 + lanes).contains(&w))
-            {
+            if !entry.2 && entry.1.iter().any(|&w| in_writers(writer0, lanes, w)) {
                 entry.2 = true;
                 n += 1;
             }
@@ -431,9 +441,7 @@ fn pm_matches_line_model() {
                     }
                     PmOp::Fence { writer0, lanes } => (
                         pm.persist_writers_range(writer0, lanes),
-                        model.drain(|_, e| {
-                            e.1.iter().any(|&w| (writer0..writer0 + lanes).contains(&w))
-                        }),
+                        model.drain(|_, e| e.1.iter().any(|&w| in_writers(writer0, lanes, w))),
                     ),
                     PmOp::Close { writer0, lanes } => (
                         pm.close_writers_range(writer0, lanes),
